@@ -1,10 +1,11 @@
 """Worst-case search for the greedy policy's empirical competitive ratio.
 
-Exhaustive mode enumerates every event string over {A1..Am, S} up to a length
-bound; random mode samples seeded uniform strings.  Each candidate is drained
-before evaluation so benefits are well-defined totals.  Any ratio above the
-proven bound aborts the search with a falsification report; it is never
-silently clamped.
+Exhaustive mode enumerates event strings over {A1..Am, S} up to a length
+bound (`exhaustive_worst` states the exact set); random mode samples seeded
+uniform strings.  Each candidate is drained before evaluation so benefits are
+well-defined totals.  Both modes feed their candidates through one scan loop.
+Any ratio above the proven bound aborts the search with a falsification
+report; it is never silently clamped.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
+from typing import Iterable
 
 from .engine import greedy_transmit_counts
 from .model import (
@@ -24,7 +26,7 @@ from .model import (
     compute_c,
     trace_to_text,
 )
-from .opt import _StateSpace
+from .opt import DEFAULT_STATE_CAP, _StateSpace, _state_space
 
 DEFAULT_BUDGET = 2_000_000
 _CHUNK = 20_000  # raw indices per task; fixed so chunking is jobs-independent
@@ -91,6 +93,32 @@ def _drain_events(events: tuple[int, ...]) -> tuple[int, ...]:
     return events + (SEND,) * k
 
 
+Scored = tuple[int, int, tuple[int, ...]]  # (opt, greedy, drained events)
+Scan = tuple[Scored | None, int, Scored | None]  # (best, counted, falsifier)
+
+
+def _scan(
+    candidates: Iterable[tuple[int, ...]], space: _StateSpace, bound: Fraction
+) -> Scan:
+    """Best ratio over drained candidates (the first maximum in order), the
+    number of candidates, and the first candidate whose ratio exceeds
+    `bound`, at which the scan stops.  Compares in integers only."""
+    bn, bd = bound.numerator, bound.denominator
+    best: Scored | None = None
+    count = 0
+    for drained in candidates:
+        count += 1
+        scored = _evaluate(drained, space.caps, space.weights, space)
+        if scored is None:
+            continue
+        o, g = scored
+        if o * bd > bn * g:
+            return best, count, (o, g, drained)
+        if best is None or o * best[1] > best[0] * g:
+            best = (o, g, drained)
+    return best, count, None
+
+
 def _scan_range(
     length: int,
     start: int,
@@ -98,38 +126,38 @@ def _scan_range(
     m: int,
     caps: tuple[int, ...],
     weights: tuple[int, ...],
-    bound_scaled: tuple[int, int],
-) -> tuple[tuple[int, int, tuple[int, ...]] | None, int, tuple[int, ...] | None]:
-    """Best ratio over one index range of raw strings of a fixed length.
+    bound: Fraction,
+    state_cap: int,
+) -> Scan:
+    """`_scan` over one index range of raw strings of a fixed length.
 
-    Returns (best (num, den, drained events) or None, evaluated count,
-    falsifying drained events or None).  Pruning: strings starting with a
-    send or ending with an arrival are skipped; their drained behavior is
-    covered by shorter or send-terminated strings.
+    Pruning: strings starting with a send or ending with an arrival are
+    skipped; their drained behavior is covered by shorter or send-terminated
+    strings.
     """
-    space = _StateSpace(caps, weights)
-    bn, bd = bound_scaled
-    best: tuple[int, int, tuple[int, ...]] | None = None
-    evaluated = 0
-    for index in range(start, stop):
-        raw = _decode(index, length, m)
-        if raw and (raw[0] == SEND or raw[-1] != SEND):
-            continue
-        drained = _drain_events(raw)
-        evaluated += 1
-        scored = _evaluate(drained, caps, weights, space)
-        if scored is None:
-            continue
-        o, g = scored
-        if o * bd > bn * g:
-            return best, evaluated, drained
-        if best is None or o * best[1] > best[0] * g:
-            best = (o, g, drained)
-    return best, evaluated, None
+    raws = (_decode(index, length, m) for index in range(start, stop))
+    candidates = (
+        _drain_events(raw)
+        for raw in raws
+        if not raw or (raw[0] != SEND and raw[-1] == SEND)
+    )
+    space = _state_space(caps, weights, max(2 * length - 1, 0), state_cap)
+    return _scan(candidates, space, bound)
 
 
-def _scan_task(args) -> tuple[tuple[int, int, tuple[int, ...]] | None, int, tuple[int, ...] | None]:
+def _scan_task(args) -> Scan:
     return _scan_range(*args)
+
+
+def _result(scan: Scan, bound: Fraction, seed: int | None = None) -> SearchResult:
+    best, evaluated, falsifier = scan
+    if falsifier is not None:
+        o, g, events = falsifier
+        raise BoundFalsified(Trace(events), Fraction(o, g), bound)
+    if best is None:
+        return SearchResult(Trace(()), Fraction(1), evaluated, seed)
+    o, g, events = best
+    return SearchResult(Trace(events), Fraction(o, g), evaluated, seed)
 
 
 def exhaustive_worst(
@@ -138,19 +166,28 @@ def exhaustive_worst(
     max_len: int,
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> SearchResult:
-    """Maximum drained ratio over every event string of length <= max_len.
+    """Maximum drained ratio over the drained forms of the empty string and
+    of every raw string of length 2..max_len that starts with an arrival and
+    ends with a send.
 
-    Deterministic: the reported trace is the first maximum achiever in
-    length-then-lexicographic order, independent of `jobs`.  `traces_evaluated`
-    counts candidates that survived pruning (including zero-benefit ones).
+    In ratio this covers every raw string of length <= max_len - 1 and the
+    length-max_len strings that end in a send; it does not cover the
+    length-max_len strings that end in an arrival (their drained forms first
+    appear at max_len + 1).  Deterministic: the reported trace is the first
+    maximum achiever in length-then-lexicographic order, independent of
+    `jobs`.  `traces_evaluated` counts the candidates above (including
+    zero-benefit ones).  `budget` caps the raw strings enumerated and
+    `state_cap` the DP cells of the longest candidate.
     """
     m = profile.m
     total = sum((m + 1) ** length for length in range(max_len + 1))
     if total > budget:
         raise BudgetExceeded(budget, total)
+    # guard the longest candidate; the memoized space is then shared by forks
+    _state_space(caps.caps, profile.weights, max(2 * max_len - 1, 0), state_cap)
     bound = compute_c(profile).upper
-    bound_scaled = (bound.numerator, bound.denominator)
 
     tasks = []
     for length in range(max_len + 1):
@@ -158,7 +195,7 @@ def exhaustive_worst(
         for start in range(0, span, _CHUNK):
             tasks.append(
                 (length, start, min(start + _CHUNK, span), m, caps.caps,
-                 profile.weights, bound_scaled)
+                 profile.weights, bound, state_cap)
             )
 
     if jobs > 1:
@@ -167,23 +204,17 @@ def exhaustive_worst(
     else:
         results = [_scan_task(task) for task in tasks]
 
-    best: tuple[int, int, tuple[int, ...]] | None = None
+    best: Scored | None = None
+    falsifier: Scored | None = None
     evaluated = 0
-    for chunk_best, chunk_count, falsified in results:
+    for chunk_best, chunk_count, chunk_falsifier in results:
         evaluated += chunk_count
-        if falsified is not None:
-            o, g = _evaluate(falsified, caps.caps, profile.weights,
-                             _StateSpace(caps.caps, profile.weights))
-            raise BoundFalsified(Trace(falsified), Fraction(o, g), bound)
-        if chunk_best is None:
-            continue
-        if best is None or chunk_best[0] * best[1] > best[0] * chunk_best[1]:
+        falsifier = falsifier or chunk_falsifier
+        if chunk_best is not None and (
+            best is None or chunk_best[0] * best[1] > best[0] * chunk_best[1]
+        ):
             best = chunk_best
-
-    if best is None:
-        return SearchResult(Trace(()), Fraction(1), evaluated)
-    o, g, events = best
-    return SearchResult(Trace(events), Fraction(o, g), evaluated)
+    return _result((best, evaluated, falsifier), bound)
 
 
 def random_trace(
@@ -205,26 +236,13 @@ def random_worst(
     samples: int,
     seed: int,
     arrive_prob: float = 0.5,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> SearchResult:
     """Maximum drained ratio over `samples` seeded random strings of `length`
-    events.  Identical seed and parameters give an identical result."""
-    m = profile.m
+    events.  Identical seed and parameters give an identical result.
+    `state_cap` caps the DP cells of the longest possible drained string."""
     rng = random.Random(seed)
-    space = _StateSpace(caps.caps, profile.weights)
+    space = _state_space(caps.caps, profile.weights, 2 * length, state_cap)
     bound = compute_c(profile).upper
-    best: tuple[int, int, tuple[int, ...]] | None = None
-    for _ in range(samples):
-        raw = random_trace(rng, m, length, arrive_prob)
-        drained = _drain_events(raw.events)
-        scored = _evaluate(drained, caps.caps, profile.weights, space)
-        if scored is None:
-            continue
-        o, g = scored
-        if Fraction(o, g) > bound:
-            raise BoundFalsified(Trace(drained), Fraction(o, g), bound)
-        if best is None or o * best[1] > best[0] * g:
-            best = (o, g, drained)
-    if best is None:
-        return SearchResult(Trace(()), Fraction(1), samples, seed=seed)
-    o, g, events = best
-    return SearchResult(Trace(events), Fraction(o, g), samples, seed=seed)
+    raws = (random_trace(rng, profile.m, length, arrive_prob) for _ in range(samples))
+    return _result(_scan((_drain_events(r.events) for r in raws), space, bound), bound, seed)

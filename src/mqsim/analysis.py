@@ -95,29 +95,24 @@ def _check_paired(greedy: Ledger, opt: Ledger) -> int:
     return m
 
 
+def _surplus(greedy: Ledger, opt: Ledger, counter: str) -> Matrix:
+    m = _check_paired(greedy, opt)
+    pairs = [
+        (getattr(ge, counter), getattr(oe, counter))
+        for ge, oe in zip(greedy.entries, opt.entries)
+    ]
+    return tuple(tuple(sum(g[h - 1 :]) - o[h - 1] for g, o in pairs) for h in range(1, m))
+
+
 def compute_xi(greedy: Ledger, opt: Ledger) -> Matrix:
     """Transmit surplus xi_h(e_i) = sum_{l>=h} delta_l(e_i) - delta*_h(e_i),
     one row per h in [1, m-1], one column per event including the null event."""
-    m = _check_paired(greedy, opt)
-    return tuple(
-        tuple(
-            sum(ge.transmitted[h - 1 :]) - oe.transmitted[h - 1]
-            for ge, oe in zip(greedy.entries, opt.entries)
-        )
-        for h in range(1, m)
-    )
+    return _surplus(greedy, opt, "transmitted")
 
 
 def compute_phi(greedy: Ledger, opt: Ledger) -> Matrix:
     """Accept surplus phi_h(e_i) = sum_{l>=h} A_l(e_i) - A*_h(e_i); same shape as xi."""
-    m = _check_paired(greedy, opt)
-    return tuple(
-        tuple(
-            sum(ge.accepted[h - 1 :]) - oe.accepted[h - 1]
-            for ge, oe in zip(greedy.entries, opt.entries)
-        )
-        for h in range(1, m)
-    )
+    return _surplus(greedy, opt, "accepted")
 
 
 def _matrix_nonneg(matrix: Matrix, name: str) -> Verdict:
@@ -204,8 +199,7 @@ def suffix_sums(A: Sequence[int]) -> tuple[int, ...]:
 
 
 def check_D_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
-    """End-of-trace deficit bounds: D_h <= S_{h+1} for h in [1, m-1] and
-    D_h + ... + D_{m-1} <= S_h for h in [1, m-2]."""
+    """End-of-trace deficit bounds: D_h <= S_{h+1} for h in [1, m-1]."""
     m = len(D)
     for h in range(1, m):
         if D[h - 1] > S[h]:
@@ -214,6 +208,7 @@ def check_D_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
 
 
 def check_D_sum_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
+    """End-of-trace deficit sum bounds: D_h + ... + D_{m-1} <= S_h for h in [1, m-2]."""
     m = len(D)
     for h in range(1, m - 1):
         if sum(D[h - 1 : m - 1]) > S[h - 1]:
@@ -328,10 +323,20 @@ def check_delta_chain(
     For m = 2 the potentials are undefined and the degenerate route
     v_1 D_1 <= v_1 U_1 = v_1 A_2 <= c* (v_1 A_1 + v_2 A_2) is checked instead.
     """
+    c_star = compute_c(profile).c_star
+    U = u_recursion(A)
+    delta = compute_delta(profile, c_star, U, suffix_sums(A)) if profile.m >= 3 else ()
+    signs = check_coefficient_signs(profile, c_star)
+    return _delta_chain(profile, c_star, A, D, U, delta, signs.ok)
+
+
+def _delta_chain(
+    profile: ValueProfile, c_star: Fraction, A: Sequence[int], D: Sequence[int],
+    U: Sequence[int], delta: Sequence[Fraction], signs_ok: bool,
+) -> Verdict:
+    """check_delta_chain on precomputed U, Delta and coefficient-sign verdict."""
     m = profile.m
     values = profile.values
-    report = compute_c(profile)
-    c_star = report.c_star
     name = "potential_chain"
 
     weighted_D = sum(
@@ -340,17 +345,14 @@ def check_delta_chain(
     weighted_A = sum(
         (values[h - 1] * A[h - 1] for h in range(1, m + 1)), Fraction(0)
     )
-    U = u_recursion(A)
 
     if m == 2:
         ok = weighted_D <= values[0] * U[0] and values[0] * U[0] <= c_star * weighted_A
         return Verdict(name, ok)
 
-    if not check_coefficient_signs(profile, c_star).ok:
+    if not signs_ok:
         return Verdict(name, False)
 
-    S = suffix_sums(A)
-    delta = compute_delta(profile, c_star, U, S)
     if weighted_D > delta[0]:
         return Verdict(name, False)
     for h in range(1, m - 2):
@@ -366,28 +368,33 @@ def check_delta_chain(
     return Verdict(name, True)
 
 
+def check_ratio(o: Fraction, g: Fraction, bound: Fraction) -> tuple[Fraction, Verdict]:
+    """Ratio o/g of optimal to greedy benefit against `bound`.
+
+    When greedy earns nothing the ratio is reported as 1 and the verdict is
+    o == 0 (vacuously true, since the optimum is then zero too).
+    """
+    if g == 0:
+        return Fraction(1), Verdict("ratio_bound", o == 0)
+    ratio = o / g
+    return ratio, Verdict("ratio_bound", ratio <= bound)
+
+
 def verify_ratio_bound(
     trace: Trace,
     caps: QueueCapacities,
     profile: ValueProfile,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[Fraction, Fraction, Verdict]:
-    """Ratio of optimal to greedy benefit against the proven bound 1 + c*.
-
-    When both benefits are zero the ratio is reported as 1 and the verdict is
-    vacuously true.
-    """
+    """Ratio of optimal to greedy benefit against the proven bound 1 + c*
+    (see check_ratio for the zero-benefit case)."""
     if not trace.drained:
         raise ValueError("verify_ratio_bound needs a drained trace; use append_drain first")
     greedy_ledger, _ = run_greedy(trace, caps, profile)
     opt_result = opt_search(trace, caps, profile, state_cap=state_cap)
     bound = compute_c(profile).upper
-    g = greedy_ledger.benefit_transmitted
-    o = opt_result.benefit
-    if g == 0:
-        return Fraction(1), bound, Verdict("ratio_bound", o == 0)
-    ratio = o / g
-    return ratio, bound, Verdict("ratio_bound", ratio <= bound)
+    ratio, verdict = check_ratio(opt_result.benefit, greedy_ledger.benefit_transmitted, bound)
+    return ratio, bound, verdict
 
 
 def verify_all(
@@ -414,10 +421,11 @@ def verify_all(
     U_explicit = u_explicit(A)
     report = compute_c(profile)
     delta = compute_delta(profile, report.c_star, U, S) if m >= 3 else ()
+    signs = check_coefficient_signs(profile, report.c_star)
 
     g = greedy_ledger.benefit_transmitted
     o = opt_ledger.benefit_transmitted
-    ratio = o / g if g else Fraction(1)
+    ratio, ratio_verdict = check_ratio(o, g, report.upper)
 
     backlogged, opt_empty = check_surplus_monotonicity(
         trace, greedy_ledger, opt_ledger, xi
@@ -435,9 +443,9 @@ def verify_all(
         check_D_sum_bounds(D, S),
         check_u_bounds(D, U),
         Verdict("u_forms_agree", U == U_explicit),
-        check_coefficient_signs(profile, report.c_star),
-        check_delta_chain(profile, A, D),
-        Verdict("ratio_bound", (ratio <= report.upper) if g else (o == 0)),
+        signs,
+        _delta_chain(profile, report.c_star, A, D, U, delta, signs.ok),
+        ratio_verdict,
     ]
 
     return ComparativeReport(

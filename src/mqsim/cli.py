@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .adversary import BoundFalsified, BudgetExceeded, exhaustive_worst, random_worst
-from .analysis import verify_all
+from .analysis import check_ratio, verify_all
 from .engine import run_greedy
 from .model import (
     MQSimError,
@@ -78,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="random mode: RNG seed (required with --samples)")
     p_search.add_argument("--budget", type=int, default=None,
                           help="exhaustive mode: max raw strings enumerated")
-    p_search.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="exhaustive mode: worker processes")
+    p_search.add_argument("--jobs", type=int, default=None, metavar="N",
+                          help="exhaustive mode: worker processes (default 1)")
     p_search.set_defaults(func=cmd_search)
 
     return parser
@@ -127,7 +126,7 @@ def cmd_simulate(args) -> int:
     opt_result = opt_search(trace, caps, profile, state_cap=args.state_cap)
     g = greedy_ledger.benefit_transmitted
     o = opt_result.benefit
-    ratio = o / g if g else Fraction(1)
+    ratio, _ = check_ratio(o, g, compute_c(profile).upper)
     print("greedy accepted:", ",".join(map(str, greedy_ledger.final.accepted)))
     print("greedy transmitted:", ",".join(map(str, greedy_ledger.final.transmitted)))
     print("greedy schedule:", greedy_schedule.to_text())
@@ -165,22 +164,25 @@ def cmd_search(args) -> int:
     if args.samples is not None:
         if args.seed is None:
             raise MQSimError("random mode needs --seed")
+        for flag, value in (("--jobs", args.jobs), ("--budget", args.budget)):
+            if value is not None:
+                raise MQSimError(f"{flag} applies to exhaustive mode only")
         length = args.max_len if args.max_len is not None else RANDOM_DEFAULT_LEN
-        result = random_worst(profile, caps, length, args.samples, args.seed)
-        header = (
-            f"# worst_ratio={result.worst_ratio} bound={compute_c(profile).upper} "
-            f"evaluated={result.traces_evaluated} seed={result.seed}"
-        )
+        result = random_worst(profile, caps, length, args.samples, args.seed,
+                              state_cap=args.state_cap)
+        seed_field = f" seed={result.seed}"
     else:
         if args.max_len is None:
             raise MQSimError("need --max-len (exhaustive) or --samples with --seed")
-        kwargs = {} if args.budget is None else {"budget": args.budget}
-        result = exhaustive_worst(profile, caps, args.max_len, jobs=args.jobs, **kwargs)
-        header = (
-            f"# worst_ratio={result.worst_ratio} bound={compute_c(profile).upper} "
-            f"evaluated={result.traces_evaluated}"
-        )
-    print(header)
+        kwargs = {k: v for k, v in (("budget", args.budget), ("jobs", args.jobs))
+                  if v is not None}
+        result = exhaustive_worst(profile, caps, args.max_len,
+                                  state_cap=args.state_cap, **kwargs)
+        seed_field = ""
+    print(
+        f"# worst_ratio={result.worst_ratio} bound={compute_c(profile).upper} "
+        f"evaluated={result.traces_evaluated}{seed_field}"
+    )
     text = trace_to_text(result.worst_trace)
     if text:
         print(text, end="")

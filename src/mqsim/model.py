@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Sequence, Union
 
@@ -258,9 +258,10 @@ def doubling_tail(values: Sequence[Fraction], i: int) -> Fraction:
     return sum(((2 ** (j - 1)) * values[i - j - 1] for j in range(1, i)), Fraction(0))
 
 
+@lru_cache(maxsize=64)
 def compute_c(profile: ValueProfile) -> BoundReport:
     """Exact bound constants: c_i = (v_i + T_i) / (v_{i+1} + T_i) with
-    T_i the doubling-weighted tail of earlier values."""
+    T_i the doubling-weighted tail of earlier values.  Memoized per profile."""
     v = profile.values
     c = []
     for i in range(1, profile.m):

@@ -15,6 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import prod
+from typing import Iterator
 
 from .engine import Schedule, check_inputs
 from .model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile
@@ -48,28 +52,15 @@ class _StateSpace:
         self.caps = caps
         self.weights = weights
         m = len(caps)
-        radix = [b + 1 for b in caps]
-        size = 1
-        for r in radix:
-            size *= r
-        self.size = size
-
-        states = []
-        occ = [0] * m
-        for idx in range(size):
-            states.append(tuple(occ))
-            for c in range(m - 1, -1, -1):
-                if occ[c] < caps[c]:
-                    occ[c] += 1
-                    break
-                occ[c] = 0
+        states = list(product(*(range(b + 1) for b in caps)))  # last class fastest
         self.states = states
+        self.size = size = len(states)
 
         stride = [0] * m
         acc = 1
         for c in range(m - 1, -1, -1):
             stride[c] = acc
-            acc *= radix[c]
+            acc *= caps[c] + 1
 
         # arrive_to[c][s]: state after a class-(c+1) arrival (self when full)
         self.arrive_to = [
@@ -86,45 +77,51 @@ class _StateSpace:
             for s in range(size)
         ]
 
-    def best_scaled(self, events: tuple[int, ...]) -> int:
-        """Max scaled benefit over all diligent schedules (rolling backward DP)."""
+    def layers(self, events: tuple[int, ...]) -> Iterator[list[int]]:
+        """The backward DP: yields val[i] for i = n, n-1, ..., 0, where
+        val[i][s] is the max scaled benefit of events[i:] from state s."""
         val = [0] * self.size
+        yield val
         for ev in reversed(events):
             if ev == SEND:
-                nxt = []
-                for s in range(self.size):
-                    moves = self.send_moves[s]
-                    if moves:
-                        nxt.append(max(w + val[s2] for w, s2, _ in moves))
-                    else:
-                        nxt.append(val[s])
-                val = nxt
+                val = [
+                    max(w + val[s2] for w, s2, _ in moves) if moves else val[s]
+                    for s, moves in enumerate(self.send_moves)
+                ]
             else:
-                to = self.arrive_to[ev - 1]
-                val = [val[to[s]] for s in range(self.size)]
+                val = [val[s2] for s2 in self.arrive_to[ev - 1]]
+            yield val
+
+    def best_scaled(self, events: tuple[int, ...]) -> int:
+        """Max scaled benefit over all diligent schedules; keeps one layer."""
+        for val in self.layers(events):
+            pass
         return val[0]
 
     def tables(self, events: tuple[int, ...]) -> list[list[int]]:
-        """Full backward DP tables val[i][s] for schedule extraction."""
-        n = len(events)
-        tables = [None] * (n + 1)
-        tables[n] = [0] * self.size
-        for i in range(n - 1, -1, -1):
-            ev = events[i]
-            nxt = tables[i + 1]
-            if ev == SEND:
-                cur = []
-                for s in range(self.size):
-                    moves = self.send_moves[s]
-                    if moves:
-                        cur.append(max(w + nxt[s2] for w, s2, _ in moves))
-                    else:
-                        cur.append(nxt[s])
-                tables[i] = cur
-            else:
-                to = self.arrive_to[ev - 1]
-                tables[i] = [nxt[to[s]] for s in range(self.size)]
-        return tables
+        """Every DP layer, indexed by event position, for schedule extraction."""
+        return list(self.layers(events))[::-1]
+
+
+@lru_cache(maxsize=8)
+def _cached_space(caps: tuple[int, ...], weights: tuple[int, ...]) -> _StateSpace:
+    return _StateSpace(caps, weights)
+
+
+def _state_space(
+    caps: tuple[int, ...],
+    weights: tuple[int, ...],
+    n_events: int,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> _StateSpace:
+    """The size guard: the (memoized) state space for DP runs over at most
+    `n_events` events.  Raises StateSpaceExceeded when the a-priori cell
+    count prod(B_i + 1) * max(n_events, 1) exceeds `state_cap`; the cap is a
+    guard, never an approximation."""
+    needed = prod(b + 1 for b in caps) * max(n_events, 1)
+    if needed > state_cap:
+        raise StateSpaceExceeded(state_cap, needed)
+    return _cached_space(caps, weights)
 
 
 def opt_search(
@@ -137,21 +134,13 @@ def opt_search(
 
     Ties at a send are broken toward the highest class index, which keeps the
     returned schedule's top-class acceptances equal to greedy's.  Raises
-    StateSpaceExceeded when the a-priori cell count prod(B_i + 1) * |events|
-    exceeds `state_cap`; the cap is a guard, never an approximation.
+    StateSpaceExceeded when the DP would exceed `state_cap` cells.
     """
     check_inputs(trace, caps, profile)
     if not trace.drained:
         raise ValueError("opt_search needs a drained trace; use append_drain first")
 
-    cells = 1
-    for b in caps.caps:
-        cells *= b + 1
-    cells *= max(len(trace.events), 1)
-    if cells > state_cap:
-        raise StateSpaceExceeded(state_cap, cells)
-
-    space = _StateSpace(caps.caps, profile.weights)
+    space = _state_space(caps.caps, profile.weights, len(trace.events), state_cap)
     tables = space.tables(trace.events)
 
     choices: list[int | None] = []
@@ -163,42 +152,15 @@ def opt_search(
                 choices.append(None)
                 continue
             nxt = tables[i + 1]
-            best_cls = None
-            best_s = s
-            best_val = -1
-            for w, s2, cls in moves:
-                cand = w + nxt[s2]
-                if cand >= best_val:  # ascending scan: ties land on highest class
-                    best_val = cand
-                    best_cls = cls
-                    best_s = s2
-            choices.append(best_cls)
-            s = best_s
+            # benefit ties go to the highest class
+            _, cls, s = max((w + nxt[s2], cls, s2) for w, s2, cls in moves)
+            choices.append(cls)
         else:
             s = space.arrive_to[ev - 1][s]
 
     benefit = Fraction(tables[0][0], profile.scale)
     states = space.size * (len(trace.events) + 1)
     return OptResult(benefit=benefit, schedule=Schedule(tuple(choices)), states_explored=states)
-
-
-def opt_benefit(
-    trace: Trace,
-    caps: QueueCapacities,
-    profile: ValueProfile,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Fraction:
-    """Optimal benefit only (no schedule); same DP, rolling storage."""
-    check_inputs(trace, caps, profile)
-    if not trace.drained:
-        raise ValueError("opt_benefit needs a drained trace; use append_drain first")
-    cells = 1
-    for b in caps.caps:
-        cells *= b + 1
-    if cells * max(len(trace.events), 1) > state_cap:
-        raise StateSpaceExceeded(state_cap, cells * max(len(trace.events), 1))
-    space = _StateSpace(caps.caps, profile.weights)
-    return Fraction(space.best_scaled(trace.events), profile.scale)
 
 
 def opt_bruteforce(

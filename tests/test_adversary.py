@@ -22,6 +22,7 @@ from mqsim.model import (
     compute_c,
     validate_profile,
 )
+from mqsim.opt import StateSpaceExceeded
 
 
 class TestExhaustive:
@@ -132,6 +133,24 @@ class TestFalsification:
         result = exhaustive_worst(profile, caps, max_len=6)
         assert isinstance(result, SearchResult)
         assert result.worst_ratio <= Fraction(3, 2)
+
+
+class TestStateCap:
+    # 4 occupancy states for caps (1, 1); the guard is sized on the longest
+    # drained candidate: 2*max_len - 1 events exhaustively, 2*length at random.
+    def test_exhaustive_guard_sized_on_longest_candidate(self, two_class):
+        profile, caps = two_class
+        exhaustive_worst(profile, caps, max_len=6, state_cap=4 * 11)
+        with pytest.raises(StateSpaceExceeded) as exc:
+            exhaustive_worst(profile, caps, max_len=6, state_cap=4 * 11 - 1)
+        assert exc.value.needed == 4 * 11
+
+    def test_random_guard_sized_on_longest_candidate(self, two_class):
+        profile, caps = two_class
+        random_worst(profile, caps, length=10, samples=5, seed=1, state_cap=4 * 20)
+        with pytest.raises(StateSpaceExceeded) as exc:
+            random_worst(profile, caps, length=10, samples=5, seed=1, state_cap=4 * 20 - 1)
+        assert exc.value.needed == 4 * 20
 
 
 class TestPruningSoundness:

@@ -204,6 +204,25 @@ class TestSearch:
              "--max-len", "6", "--budget", "10"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("mode", [["--max-len", "2"],
+                                      ["--samples", "10", "--seed", "1"]])
+    def test_state_cap_exit_3(self, mode, capsys):
+        code, out, err = run(
+            ["search", "--values", "1", "2", "3", "--caps", "30", "30", "30",
+             *mode, "--state-cap", "10"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "DP cells" in err
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--budget"])
+    def test_random_rejects_exhaustive_flag_exit_2(self, flag, capsys):
+        code, out, err = run(
+            ["search", "--values", "1", "2", "--caps", "1", "1",
+             "--samples", "10", "--seed", "1", flag, "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
     def test_falsification_exit_4(self, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise BoundFalsified(Trace((1, 0)), Fraction(2), Fraction(3, 2))

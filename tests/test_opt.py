@@ -14,7 +14,7 @@ from mqsim.model import (
     parse_trace,
     validate_profile,
 )
-from mqsim.opt import StateSpaceExceeded, opt_benefit, opt_bruteforce, opt_search
+from mqsim.opt import StateSpaceExceeded, opt_bruteforce, opt_search
 
 
 def random_drained_trace(rng, m, max_len=12):
@@ -95,14 +95,6 @@ class TestOptSearch:
                 ledger = replay_schedule(trace, caps, profile, result.schedule)
                 greedy_ledger, _ = run_greedy(trace, caps, profile)
                 assert ledger.final.accepted[-1] == greedy_ledger.final.accepted[-1]
-
-    def test_opt_benefit_agrees(self):
-        rng = random.Random(34)
-        profile = validate_profile((1, 2))
-        caps = QueueCapacities((1, 2))
-        for _ in range(100):
-            trace = random_drained_trace(rng, 2)
-            assert opt_benefit(trace, caps, profile) == opt_search(trace, caps, profile).benefit
 
 
 class TestBruteforce:
