@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .engine import Ledger, run_greedy, replay_schedule
 from .model import (
@@ -230,6 +231,7 @@ def u_recursion(A: Sequence[int]) -> tuple[int, ...]:
     return tuple(U)
 
 
+@lru_cache(maxsize=256)
 def u_candidates(m: int, h: int) -> tuple[tuple[int, ...], ...]:
     """S-index lists of the m-h explicit upper bounds on D_h + ... + D_{m-1}.
 
@@ -269,6 +271,46 @@ def check_u_bounds(D: Sequence[int], U: Sequence[int]) -> Verdict:
     return Verdict("u_bounds_hold", True)
 
 
+class _Coefficients(NamedTuple):
+    """Delta coefficients of one (profile, c* = p/q), scaled by q * profile.scale,
+    and the coefficient-sign verdict for that c*.
+
+    Row h in [1, m-2] holds CU_h = q(w_h + T_h) - p(w_{h-1} + T_h),
+    CS_h = q(w_{h-1} + T_h) - p T_h and SL_h = q(w_{h+1} - w_h), where
+    w_i = v_i * scale, w_0 = 0 and T_h = doubling_tail(w, h-1).
+    """
+
+    p: int
+    q: int
+    rows: tuple[tuple[int, int, int], ...]
+    signs: Verdict
+
+
+@lru_cache(maxsize=64)
+def _coefficients(profile: ValueProfile, c_star: Fraction) -> _Coefficients:
+    p, q = c_star.numerator, c_star.denominator
+    w = (0,) + profile.weights
+    tails = [int(doubling_tail(profile.weights, i)) for i in range(profile.m)]
+    rows = tuple(
+        (q * (w[h] + t) - p * (w[h - 1] + t), q * (w[h - 1] + t) - p * t,
+         q * (w[h + 1] - w[h]))
+        for h, t in zip(range(1, profile.m - 1), tails)
+    )
+    bad = next((i for i in range(1, profile.m)
+                if q * (w[i] + tails[i]) - p * (w[i + 1] + tails[i]) > 0), None)
+    return _Coefficients(p, q, rows, Verdict("coefficient_signs", bad is None, h=bad))
+
+
+def _delta(co: _Coefficients, U: Sequence[int], S: Sequence[int]) -> list[int]:
+    """q * scale * Delta_h for h in [1, m-2], as ints (empty when m = 2)."""
+    out, slope = [], 0
+    for h in range(len(co.rows), 0, -1):
+        cu, cs, sl = co.rows[h - 1]
+        slope += sl * U[h]
+        out.append(cu * U[h - 1] + cs * S[h - 1] + slope)
+    return out[::-1]
+
+
 def compute_delta(
     profile: ValueProfile,
     c_star: Fraction,
@@ -279,36 +321,20 @@ def compute_delta(
 
     Delta_h couples U_h and S_h through doubling-tail coefficients (with the
     v_0 = 0 convention and empty sums for h <= 2) plus the telescoping
-    (v_{k+1} - v_k) U_{k+1} tail.  Defined only for m >= 3.
+    (v_{k+1} - v_k) U_{k+1} tail.  Defined only for m >= 3.  With c_star = p/q
+    it is computed as the integer q * scale * Delta_h = CU_h U_h + CS_h S_h +
+    sum_{k=h}^{m-2} SL_k U_{k+1} (see _Coefficients), returned over q * scale.
     """
-    m = profile.m
-    if m < 3:
-        raise MTooSmall(f"delta potentials need m >= 3, got {m}")
-    values = profile.values
-
-    def v(i: int) -> Fraction:
-        return values[i - 1] if i >= 1 else Fraction(0)
-
-    deltas = []
-    for h in range(1, m - 1):
-        tail = doubling_tail(values, h - 1)
-        coef_u = (v(h) + tail) - c_star * (v(h - 1) + tail)
-        coef_s = (v(h - 1) + tail) - c_star * tail
-        slope = sum(
-            ((v(k + 1) - v(k)) * U[k] for k in range(h, m - 1)), Fraction(0)
-        )
-        deltas.append(coef_u * U[h - 1] + coef_s * S[h - 1] + slope)
-    return tuple(deltas)
+    if profile.m < 3:
+        raise MTooSmall(f"delta potentials need m >= 3, got {profile.m}")
+    co = _coefficients(profile, c_star)
+    return tuple(Fraction(x, co.q * profile.scale) for x in _delta(co, U, S))
 
 
 def check_coefficient_signs(profile: ValueProfile, c_star: Fraction) -> Verdict:
-    """(v_i + T_i) - c_star * (v_{i+1} + T_i) <= 0 for every i in [1, m-1]."""
-    values = profile.values
-    for i in range(1, profile.m):
-        tail = doubling_tail(values, i)
-        if (values[i - 1] + tail) - c_star * (values[i] + tail) > 0:
-            return Verdict("coefficient_signs", False, h=i)
-    return Verdict("coefficient_signs", True)
+    """(v_i + T_i) - c_star * (v_{i+1} + T_i) <= 0 for every i in [1, m-1];
+    checked once per (profile, c_star) in integers scaled by q * scale."""
+    return _coefficients(profile, c_star).signs
 
 
 def check_delta_chain(
@@ -323,49 +349,32 @@ def check_delta_chain(
     For m = 2 the potentials are undefined and the degenerate route
     v_1 D_1 <= v_1 U_1 = v_1 A_2 <= c* (v_1 A_1 + v_2 A_2) is checked instead.
     """
-    c_star = compute_c(profile).c_star
+    co = _coefficients(profile, compute_c(profile).c_star)
     U = u_recursion(A)
-    delta = compute_delta(profile, c_star, U, suffix_sums(A)) if profile.m >= 3 else ()
-    signs = check_coefficient_signs(profile, c_star)
-    return _delta_chain(profile, c_star, A, D, U, delta, signs.ok)
+    return _delta_chain(profile, co, A, D, U, _delta(co, U, suffix_sums(A)))
 
 
 def _delta_chain(
-    profile: ValueProfile, c_star: Fraction, A: Sequence[int], D: Sequence[int],
-    U: Sequence[int], delta: Sequence[Fraction], signs_ok: bool,
+    profile: ValueProfile, co: _Coefficients, A: Sequence[int], D: Sequence[int],
+    U: Sequence[int], delta: Sequence[int],
 ) -> Verdict:
-    """check_delta_chain on precomputed U, Delta and coefficient-sign verdict."""
-    m = profile.m
-    values = profile.values
+    """check_delta_chain on precomputed U and scaled Delta (from _delta), with
+    every inequality multiplied through by q * scale, so all operands are ints."""
+    m, w, p, q = profile.m, profile.weights, co.p, co.q
     name = "potential_chain"
-
-    weighted_D = sum(
-        (values[h - 1] * D[h - 1] for h in range(1, m)), Fraction(0)
-    )
-    weighted_A = sum(
-        (values[h - 1] * A[h - 1] for h in range(1, m + 1)), Fraction(0)
-    )
+    weighted_D = sum(x * d for x, d in zip(w[: m - 1], D))
+    weighted_A = sum(x * a for x, a in zip(w, A))
 
     if m == 2:
-        ok = weighted_D <= values[0] * U[0] and values[0] * U[0] <= c_star * weighted_A
-        return Verdict(name, ok)
-
-    if not signs_ok:
-        return Verdict(name, False)
-
-    if weighted_D > delta[0]:
+        return Verdict(name, weighted_D <= w[0] * U[0] and q * w[0] * U[0] <= p * weighted_A)
+    if not co.signs.ok or q * weighted_D > delta[0]:
         return Verdict(name, False)
     for h in range(1, m - 2):
-        if delta[h - 1] > c_star * values[h - 1] * A[h - 1] + delta[h]:
+        if delta[h - 1] > p * w[h - 1] * A[h - 1] + delta[h]:
             return Verdict(name, False, h=h)
-    last = c_star * sum(
-        (values[h - 1] * A[h - 1] for h in range(m - 2, m + 1)), Fraction(0)
-    )
-    if delta[m - 3] > last:
+    if delta[m - 3] > p * sum(x * a for x, a in zip(w[m - 3 :], A[m - 3 :])):
         return Verdict(name, False, h=m - 2)
-    if weighted_D > c_star * weighted_A:
-        return Verdict(name, False)
-    return Verdict(name, True)
+    return Verdict(name, q * weighted_D <= p * weighted_A)
 
 
 def check_ratio(o: Fraction, g: Fraction, bound: Fraction) -> tuple[Fraction, Verdict]:
@@ -420,8 +429,8 @@ def verify_all(
     U = u_recursion(A)
     U_explicit = u_explicit(A)
     report = compute_c(profile)
-    delta = compute_delta(profile, report.c_star, U, S) if m >= 3 else ()
-    signs = check_coefficient_signs(profile, report.c_star)
+    co = _coefficients(profile, report.c_star)
+    delta = _delta(co, U, S)
 
     g = greedy_ledger.benefit_transmitted
     o = opt_ledger.benefit_transmitted
@@ -443,8 +452,8 @@ def verify_all(
         check_D_sum_bounds(D, S),
         check_u_bounds(D, U),
         Verdict("u_forms_agree", U == U_explicit),
-        signs,
-        _delta_chain(profile, report.c_star, A, D, U, delta, signs.ok),
+        co.signs,
+        _delta_chain(profile, co, A, D, U, delta),
         ratio_verdict,
     ]
 
@@ -455,7 +464,7 @@ def verify_all(
         D=D,
         S=S,
         U=U,
-        delta=delta,
+        delta=tuple(Fraction(x, co.q * profile.scale) for x in delta),
         greedy_benefit=g,
         opt_benefit=o,
         ratio=ratio,

@@ -161,6 +161,10 @@ def cmd_bound(args) -> int:
 
 def cmd_search(args) -> int:
     profile, caps = _load_profile_caps(args)
+    for flag, value, least in (("--max-len", args.max_len, 0),
+                               ("--samples", args.samples, 0), ("--jobs", args.jobs, 1)):
+        if value is not None and value < least:
+            raise MQSimError(f"{flag} must be >= {least}, got {value}")
     if args.samples is not None:
         if args.seed is None:
             raise MQSimError("random mode needs --seed")
@@ -174,6 +178,8 @@ def cmd_search(args) -> int:
     else:
         if args.max_len is None:
             raise MQSimError("need --max-len (exhaustive) or --samples with --seed")
+        if args.seed is not None:
+            raise MQSimError("--seed applies to random mode only")
         kwargs = {k: v for k, v in (("budget", args.budget), ("jobs", args.jobs))
                   if v is not None}
         result = exhaustive_worst(profile, caps, args.max_len,

@@ -223,6 +223,21 @@ class TestSearch:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--max-len", "3", "--seed", "1"], "--seed"),
+        (["--max-len", "-1"], "--max-len"),
+        (["--samples", "10", "--seed", "1", "--max-len", "-1"], "--max-len"),
+        (["--samples", "-5", "--seed", "1"], "--samples"),
+        (["--max-len", "3", "--jobs", "0"], "--jobs"),
+        (["--max-len", "3", "--jobs", "-2"], "--jobs"),
+    ])
+    def test_rejects_ineffective_flag_exit_2(self, args, flag, capsys):
+        code, out, err = run(
+            ["search", "--values", "1", "2", "--caps", "1", "1", *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
     def test_falsification_exit_4(self, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise BoundFalsified(Trace((1, 0)), Fraction(2), Fraction(3, 2))
