@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .engine import Ledger, run_greedy, replay_schedule
@@ -97,12 +99,13 @@ def _check_paired(greedy: Ledger, opt: Ledger) -> int:
 
 
 def _surplus(greedy: Ledger, opt: Ledger, counter: str) -> Matrix:
-    m = _check_paired(greedy, opt)
-    pairs = [
-        (getattr(ge, counter), getattr(oe, counter))
+    _check_paired(greedy, opt)
+    # per event: one reversed running sum gives sum(g[h-1:]) for h = 1..m-1
+    columns = [
+        map(sub, list(accumulate(reversed(getattr(ge, counter))))[:0:-1], getattr(oe, counter))
         for ge, oe in zip(greedy.entries, opt.entries)
     ]
-    return tuple(tuple(sum(g[h - 1 :]) - o[h - 1] for g, o in pairs) for h in range(1, m))
+    return tuple(zip(*columns))
 
 
 def compute_xi(greedy: Ledger, opt: Ledger) -> Matrix:

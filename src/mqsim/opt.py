@@ -7,6 +7,11 @@ layered dynamic program over (event index, occupancy) exact.  Benefit-equal
 choices are broken toward the highest class index so the returned schedule
 matches greedy's top-class acceptance count deterministically.
 
+Layers hold val[s] - phi[s], phi[s] = sum_c w_c q_c(s) being the weight that
+state s buffers, so each layer is C-level gathers with no Python code per
+state.  The layers of a trace's trailing send run depend only on the state
+space and the run length; they are cached on the space and shared.
+
 `opt_bruteforce` is the independent oracle: plain recursion over every
 diligent choice, no shared state machinery, Fraction arithmetic throughout.
 """
@@ -16,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import prod
+from operator import add, itemgetter, mul
 from typing import Iterator
 
 from .engine import Schedule, check_inputs
@@ -67,33 +73,56 @@ class _StateSpace:
             [s + (stride[c] if states[s][c] < caps[c] else 0) for s in range(size)]
             for c in range(m)
         ]
-        # send_moves[s]: (weight, successor, class) per nonempty class, ascending
-        self.send_moves = [
-            [
-                (weights[c], s - stride[c], c + 1)
-                for c in range(m)
-                if states[s][c] > 0
-            ]
+        # send_moves[s]: (successor, class) per nonempty class, ascending
+        self.send_moves = moves = [
+            [(s - stride[c], c + 1) for c in range(m) if states[s][c] > 0]
             for s in range(size)
         ]
+        # per class: the arrival gather, and the weight it admits (0 when full)
+        self._arrive = [
+            (itemgetter(*to), [weights[c] if s2 != s else 0 for s, s2 in enumerate(to)])
+            for c, to in enumerate(self.arrive_to)
+        ]
+        # per class: each state's class-c successor, else any successor (or itself)
+        self._send = [
+            itemgetter(*[
+                s - stride[c] if states[s][c] else (moves[s][0][0] if moves[s] else s)
+                for s in range(size)
+            ])
+            for c in range(m)
+        ]
+        # _tail[r]: the layer before a final run of r sends.  After sum(caps)
+        # sends every state is empty, so longer runs repeat the last layer.
+        self._tail = [[-sum(map(mul, weights, q)) for q in states]]
+
+    def _send_layer(self, val: list[int]) -> list[int]:
+        # w_c + val[s - e_c] - phi[s] == (val - phi)[s - e_c]: a max of gathers
+        return list(map(max, *[gather(val) for gather in self._send]))
 
     def layers(self, events: tuple[int, ...]) -> Iterator[list[int]]:
-        """The backward DP: yields val[i] for i = n, n-1, ..., 0, where
-        val[i][s] is the max scaled benefit of events[i:] from state s."""
-        val = [0] * self.size
-        yield val
-        for ev in reversed(events):
+        """The backward DP: yields val[i] - phi for i = n, n-1, ..., 0, where
+        val[i][s] is the max scaled benefit of events[i:] from state s.  The
+        layers of the trailing send run are shared; never mutate a layer."""
+        tail, send_layer, arrive = self._tail, self._send_layer, self._arrive
+        run = 0
+        while run < len(events) and events[-1 - run] == SEND:
+            run += 1
+        top = min(run, sum(self.caps))
+        while len(tail) <= top:
+            tail.append(send_layer(tail[-1]))
+        yield from tail[:top]
+        val = tail[top]
+        yield from repeat(val, run - top + 1)
+        for ev in reversed(events[: len(events) - run]):
             if ev == SEND:
-                val = [
-                    max(w + val[s2] for w, s2, _ in moves) if moves else val[s]
-                    for s, moves in enumerate(self.send_moves)
-                ]
+                val = send_layer(val)
             else:
-                val = [val[s2] for s2 in self.arrive_to[ev - 1]]
+                gather, admitted = arrive[ev - 1]
+                val = list(map(add, gather(val), admitted))
             yield val
 
     def best_scaled(self, events: tuple[int, ...]) -> int:
-        """Max scaled benefit over all diligent schedules; keeps one layer."""
+        """Max scaled benefit over all diligent schedules (phi[0] = 0)."""
         for val in self.layers(events):
             pass
         return val[0]
@@ -152,13 +181,13 @@ def opt_search(
                 choices.append(None)
                 continue
             nxt = tables[i + 1]
-            # benefit ties go to the highest class
-            _, cls, s = max((w + nxt[s2], cls, s2) for w, s2, cls in moves)
+            # w + val[s2] - phi[s] == nxt[s2]; benefit ties go to the highest class
+            _, cls, s = max((nxt[s2], cls, s2) for s2, cls in moves)
             choices.append(cls)
         else:
             s = space.arrive_to[ev - 1][s]
 
-    benefit = Fraction(tables[0][0], profile.scale)
+    benefit = Fraction(tables[0][0], profile.scale)  # phi[0] = 0
     states = space.size * (len(trace.events) + 1)
     return OptResult(benefit=benefit, schedule=Schedule(tuple(choices)), states_explored=states)
 
