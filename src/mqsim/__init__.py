@@ -29,7 +29,6 @@ from .analysis import (
     u_explicit,
     u_recursion,
     verify_all,
-    verify_ratio_bound,
 )
 from .engine import (
     Action,

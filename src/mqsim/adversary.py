@@ -145,10 +145,6 @@ def _scan_range(
     return _scan(candidates, space, bound)
 
 
-def _scan_task(args) -> Scan:
-    return _scan_range(*args)
-
-
 def _result(scan: Scan, bound: Fraction, seed: int | None = None) -> SearchResult:
     best, evaluated, falsifier = scan
     if falsifier is not None:
@@ -200,9 +196,9 @@ def exhaustive_worst(
 
     if jobs > 1:
         with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_scan_task, tasks, chunksize=1)
+            results = pool.starmap(_scan_range, tasks, chunksize=1)
     else:
-        results = [_scan_task(task) for task in tasks]
+        results = [_scan_range(*task) for task in tasks]
 
     best: Scored | None = None
     falsifier: Scored | None = None
@@ -217,14 +213,11 @@ def exhaustive_worst(
     return _result((best, evaluated, falsifier), bound)
 
 
-def random_trace(
-    rng: random.Random, m: int, length: int, arrive_prob: float = 0.5
-) -> Trace:
-    """Uniform raw event string: arrive with probability `arrive_prob`
-    (class uniform in [1, m]), send otherwise.  Not drained."""
+def random_trace(rng: random.Random, m: int, length: int) -> Trace:
+    """Uniform raw event string: each event is an arrival with the fixed
+    probability 1/2 (class uniform in [1, m]), a send otherwise.  Not drained."""
     events = tuple(
-        rng.randint(1, m) if rng.random() < arrive_prob else SEND
-        for _ in range(length)
+        rng.randint(1, m) if rng.random() < 0.5 else SEND for _ in range(length)
     )
     return Trace(events)
 
@@ -235,7 +228,6 @@ def random_worst(
     length: int,
     samples: int,
     seed: int,
-    arrive_prob: float = 0.5,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> SearchResult:
     """Maximum drained ratio over `samples` seeded random strings of `length`
@@ -244,5 +236,5 @@ def random_worst(
     rng = random.Random(seed)
     space = _state_space(caps.caps, profile.weights, 2 * length, state_cap)
     bound = compute_c(profile).upper
-    raws = (random_trace(rng, profile.m, length, arrive_prob) for _ in range(samples))
+    raws = (random_trace(rng, profile.m, length) for _ in range(samples))
     return _result(_scan((_drain_events(r.events) for r in raws), space, bound), bound, seed)

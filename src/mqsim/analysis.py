@@ -392,23 +392,6 @@ def check_ratio(o: Fraction, g: Fraction, bound: Fraction) -> tuple[Fraction, Ve
     return ratio, Verdict("ratio_bound", ratio <= bound)
 
 
-def verify_ratio_bound(
-    trace: Trace,
-    caps: QueueCapacities,
-    profile: ValueProfile,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> tuple[Fraction, Fraction, Verdict]:
-    """Ratio of optimal to greedy benefit against the proven bound 1 + c*
-    (see check_ratio for the zero-benefit case)."""
-    if not trace.drained:
-        raise ValueError("verify_ratio_bound needs a drained trace; use append_drain first")
-    greedy_ledger, _ = run_greedy(trace, caps, profile)
-    opt_result = opt_search(trace, caps, profile, state_cap=state_cap)
-    bound = compute_c(profile).upper
-    ratio, verdict = check_ratio(opt_result.benefit, greedy_ledger.benefit_transmitted, bound)
-    return ratio, bound, verdict
-
-
 def verify_all(
     trace: Trace,
     caps: QueueCapacities,

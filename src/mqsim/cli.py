@@ -49,8 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="queue capacities, one per class")
         p.add_argument("--config", metavar="FILE",
                        help="config file with values:/capacities: lines")
-        p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                       help="cap on offline-optimum DP cells")
+        if with_caps:  # only the commands with capacities run the optimum's DP
+            p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+                           help="cap on offline-optimum DP cells")
 
     p_sim = sub.add_parser("simulate", help="run greedy and the offline optimum on a trace")
     add_common(p_sim)

@@ -7,10 +7,13 @@ layered dynamic program over (event index, occupancy) exact.  Benefit-equal
 choices are broken toward the highest class index so the returned schedule
 matches greedy's top-class acceptance count deterministically.
 
-Layers hold val[s] - phi[s], phi[s] = sum_c w_c q_c(s) being the weight that
-state s buffers, so each layer is C-level gathers with no Python code per
-state.  The layers of a trace's trailing send run depend only on the state
-space and the run length; they are cached on the space and shared.
+Each class has one arrival table and one send table (`arrive_to`,
+`send_to`), each pointing at the state itself when the move is impossible;
+the DP's gathers and the schedule extraction both read them.  Layers hold
+val[s] - phi[s], phi[s] = sum_c w_c q_c(s) being the weight that state s
+buffers, so each layer is C-level gathers with no Python code per state.
+The layers of a trace's trailing send run depend only on the state space
+and the run length; they are cached on the space and shared.
 
 `opt_bruteforce` is the independent oracle: plain recursion over every
 diligent choice, no shared state machinery, Fraction arithmetic throughout.
@@ -60,7 +63,7 @@ class _StateSpace:
         m = len(caps)
         states = list(product(*(range(b + 1) for b in caps)))  # last class fastest
         self.states = states
-        self.size = size = len(states)
+        self.size = len(states)
 
         stride = [0] * m
         acc = 1
@@ -68,29 +71,22 @@ class _StateSpace:
             stride[c] = acc
             acc *= caps[c] + 1
 
-        # arrive_to[c][s]: state after a class-(c+1) arrival (self when full)
+        # arrive_to[c][s] / send_to[c][s]: the state after a class-(c+1)
+        # arrival / send, or s itself when the move is impossible (full / empty)
         self.arrive_to = [
-            [s + (stride[c] if states[s][c] < caps[c] else 0) for s in range(size)]
+            [s + stride[c] if q[c] < caps[c] else s for s, q in enumerate(states)]
             for c in range(m)
         ]
-        # send_moves[s]: (successor, class) per nonempty class, ascending
-        self.send_moves = moves = [
-            [(s - stride[c], c + 1) for c in range(m) if states[s][c] > 0]
-            for s in range(size)
+        self.send_to = [
+            [s - stride[c] if q[c] else s for s, q in enumerate(states)] for c in range(m)
         ]
         # per class: the arrival gather, and the weight it admits (0 when full)
         self._arrive = [
             (itemgetter(*to), [weights[c] if s2 != s else 0 for s, s2 in enumerate(to)])
             for c, to in enumerate(self.arrive_to)
         ]
-        # per class: each state's class-c successor, else any successor (or itself)
-        self._send = [
-            itemgetter(*[
-                s - stride[c] if states[s][c] else (moves[s][0][0] if moves[s] else s)
-                for s in range(size)
-            ])
-            for c in range(m)
-        ]
+        # a self column never wins a send's max: val[s] <= w_d + val[s - e_d]
+        self._send = [itemgetter(*to) for to in self.send_to]
         # _tail[r]: the layer before a final run of r sends.  After sum(caps)
         # sends every state is empty, so longer runs repeat the last layer.
         self._tail = [[-sum(map(mul, weights, q)) for q in states]]
@@ -176,13 +172,14 @@ def opt_search(
     s = 0
     for i, ev in enumerate(trace.events):
         if ev == SEND:
-            moves = space.send_moves[s]
-            if not moves:
+            if s == 0:
                 choices.append(None)
                 continue
             nxt = tables[i + 1]
             # w + val[s2] - phi[s] == nxt[s2]; benefit ties go to the highest class
-            _, cls, s = max((nxt[s2], cls, s2) for s2, cls in moves)
+            _, cls, s = max(
+                (nxt[to[s]], c, to[s]) for c, to in enumerate(space.send_to, 1) if to[s] != s
+            )
             choices.append(cls)
         else:
             s = space.arrive_to[ev - 1][s]

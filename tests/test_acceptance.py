@@ -19,7 +19,6 @@ from mqsim.analysis import (
     u_explicit,
     u_recursion,
     verify_all,
-    verify_ratio_bound,
 )
 from mqsim.model import (
     QueueCapacities,
@@ -82,9 +81,9 @@ def test_c2_ratio_bound_exhaustive_m2_len10():
     assert result.worst_ratio >= Fraction(4, 3)
     # the documented witness is inside the searched space and achieves 4/3
     witness = parse_trace(WITNESS_TEXT)
-    ratio, _, verdict = verify_ratio_bound(witness, caps, profile)
-    assert ratio == Fraction(4, 3)
-    assert verdict.ok
+    report = verify_all(witness, caps, profile)
+    assert report.ratio == Fraction(4, 3)
+    assert report.verdicts["ratio_bound"].ok
     assert elapsed < 60
     print(
         f"criterion 2 (ratio bound, m=2, len<=10, {result.traces_evaluated} "

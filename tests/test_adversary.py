@@ -14,7 +14,7 @@ from mqsim.adversary import (
     random_trace,
     random_worst,
 )
-from mqsim.analysis import verify_ratio_bound
+from mqsim.analysis import verify_all
 from mqsim.model import (
     BoundReport,
     QueueCapacities,
@@ -35,9 +35,9 @@ class TestExhaustive:
     def test_witness_trace_achieves_reported_ratio(self, two_class):
         profile, caps = two_class
         result = exhaustive_worst(profile, caps, max_len=6)
-        ratio, _, verdict = verify_ratio_bound(result.worst_trace, caps, profile)
-        assert ratio == result.worst_ratio
-        assert verdict.ok
+        report = verify_all(result.worst_trace, caps, profile)
+        assert report.ratio == result.worst_ratio
+        assert report.verdicts["ratio_bound"].ok
 
     def test_max_len_zero(self, two_class):
         profile, caps = two_class
@@ -187,10 +187,10 @@ class TestFractionalProfiles:
         profile = validate_profile(("1/3", "1/2", "2"))
         caps = QueueCapacities((1, 2, 1))
         result = exhaustive_worst(profile, caps, max_len=5)
-        ratio, bound, verdict = verify_ratio_bound(result.worst_trace, caps, profile)
-        assert ratio == result.worst_ratio
-        assert verdict.ok
-        assert result.worst_ratio <= bound
+        report = verify_all(result.worst_trace, caps, profile)
+        assert report.ratio == result.worst_ratio
+        assert report.verdicts["ratio_bound"].ok
+        assert result.worst_ratio <= report.bound
 
 
 class TestDrainBeforeEvaluation:

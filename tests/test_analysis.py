@@ -25,7 +25,6 @@ from mqsim.analysis import (
     u_explicit,
     u_recursion,
     verify_all,
-    verify_ratio_bound,
 )
 from mqsim.engine import replay_schedule, run_greedy
 from mqsim.model import (
@@ -311,26 +310,29 @@ class TestDeltaChain:
 
 
 class TestVerifyRatioBound:
+    """The ratio fields of `verify_all`, the library's one ratio path."""
+
     def test_witness(self, two_class, witness):
         profile, caps = two_class
-        ratio, bound, verdict = verify_ratio_bound(witness, caps, profile)
-        assert (ratio, bound, verdict.ok) == (Fraction(4, 3), Fraction(3, 2), True)
+        report = verify_all(witness, caps, profile)
+        verdict = report.verdicts["ratio_bound"]
+        assert (report.ratio, report.bound, verdict.ok) == (Fraction(4, 3), Fraction(3, 2), True)
 
     def test_empty_trace(self, two_class):
         profile, caps = two_class
-        ratio, _, verdict = verify_ratio_bound(Trace(()), caps, profile)
-        assert ratio == 1
-        assert verdict.ok
+        report = verify_all(Trace(()), caps, profile)
+        assert report.ratio == 1
+        assert report.verdicts["ratio_bound"].ok
 
     def test_two_valued_bound(self, two_class, witness):
         profile, caps = two_class
-        _, bound, _ = verify_ratio_bound(witness, caps, profile)
+        bound = verify_all(witness, caps, profile).bound
         assert bound == 1 + profile.value(1) / profile.value(2)
 
     def test_requires_drained(self, two_class):
         profile, caps = two_class
         with pytest.raises(ValueError):
-            verify_ratio_bound(Trace((1,)), caps, profile)
+            verify_all(Trace((1,)), caps, profile)
 
 
 class TestVerifyAllExhaustive:

@@ -163,6 +163,13 @@ class TestBound:
             ["bound", "--values", "1", "2", "--config", str(cfg)], capsys)
         assert code == 2
 
+    def test_rejects_state_cap_exit_2(self, capsys):
+        # bound runs no DP, so a cap on DP cells would have no effect
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", "--values", "1", "2", "--state-cap", "-5"])
+        assert exc.value.code == 2
+        assert "--state-cap" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_exhaustive_header_and_trace(self, capsys):
