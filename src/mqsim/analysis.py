@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
-from typing import NamedTuple, Sequence
+from itertools import accumulate, compress, repeat
+from operator import add, eq, itemgetter, le, lt, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .engine import Ledger, run_greedy, replay_schedule
 from .model import (
@@ -87,25 +87,37 @@ class ComparativeReport:
         return [v.line() for v in self.verdicts.values()]
 
 
-def _check_paired(greedy: Ledger, opt: Ledger) -> int:
-    if len(greedy.entries) != len(opt.entries):
+def _check_paired(greedy: Ledger, opt: Ledger) -> None:
+    if len(greedy.actions) != len(opt.actions):
         raise LedgerMismatch(
-            f"event counts differ: {len(greedy.entries) - 1} vs {len(opt.entries) - 1}"
+            f"event counts differ: {len(greedy.actions)} vs {len(opt.actions)}"
         )
-    m = len(greedy.entries[0].accepted)
-    if len(opt.entries[0].accepted) != m:
+    if len(greedy.accepted) != len(opt.accepted):
         raise LedgerMismatch("class counts differ")
-    return m
+
+
+def _first_false(flags: Iterable[bool]) -> int | None:
+    """Index of the first false flag, or None when every flag holds."""
+    flags = list(flags)
+    return None if all(flags) else flags.index(False)
+
+
+_last = itemgetter(-1)  # of a row: its end-of-trace count
+
+# Verdicts are immutable, so the checkers share one instance per distinct value.
+_verdict = lru_cache(maxsize=1024)(Verdict)
 
 
 def _surplus(greedy: Ledger, opt: Ledger, counter: str) -> Matrix:
     _check_paired(greedy, opt)
-    # per event: one reversed running sum gives sum(g[h-1:]) for h = 1..m-1
-    columns = [
-        map(sub, list(accumulate(reversed(getattr(ge, counter))))[:0:-1], getattr(oe, counter))
-        for ge, oe in zip(greedy.entries, opt.entries)
-    ]
-    return tuple(zip(*columns))
+    g, o = getattr(greedy, counter), getattr(opt, counter)
+    tail, rows = g[-1], []
+    for h in range(len(g) - 1, 0, -1):  # tail = g_h + ... + g_m, one row per class
+        tail = list(map(add, tail, g[h - 1]))
+        rows.append(list(map(sub, tail, o[h - 1])))
+    # rows become tuples from lists: a tuple built from an iterator is allocated at a
+    # guessed length, resized, and freed into CPython's free list for its final length
+    return tuple(map(tuple, reversed(rows)))
 
 
 def compute_xi(greedy: Ledger, opt: Ledger) -> Matrix:
@@ -120,11 +132,10 @@ def compute_phi(greedy: Ledger, opt: Ledger) -> Matrix:
 
 
 def _matrix_nonneg(matrix: Matrix, name: str) -> Verdict:
-    for row_idx, row in enumerate(matrix):
-        for event_idx, value in enumerate(row):
-            if value < 0:
-                return Verdict(name, False, h=row_idx + 1, event=event_idx)
-    return Verdict(name, True)
+    for h, row in enumerate(matrix, 1):
+        if min(row, default=0) < 0:
+            return _verdict(name, False, h, _first_false(map(le, repeat(0), row)))
+    return _verdict(name, True)
 
 
 def check_xi_nonneg(xi: Matrix) -> Verdict:
@@ -136,11 +147,13 @@ def check_phi_nonneg(phi: Matrix) -> Verdict:
 
 
 def _check_conservation(ledger: Ledger, name: str) -> Verdict:
-    for entry in ledger.entries:
-        for h in range(len(entry.accepted)):
-            if entry.accepted[h] != entry.transmitted[h] + entry.occupancy[h]:
-                return Verdict(name, False, h=h + 1, event=entry.event_index)
-    return Verdict(name, True)
+    fails = []
+    for h, (a, t, q) in enumerate(zip(ledger.accepted, ledger.transmitted, ledger.occupancy), 1):
+        e = _first_false(map(eq, a, map(add, t, q)))
+        if e is not None:
+            fails.append((e, h))
+    e, h = min(fails, default=(None, None))  # the first failing event's lowest class
+    return _verdict(name, not fails, h, e)
 
 
 def check_surplus_monotonicity(
@@ -153,53 +166,36 @@ def check_surplus_monotonicity(
     just after s_{j-1} (checked for j >= 2), or (b) the optimal schedule's
     class-h queue was empty just after s_{j-1} (checked for j >= 1).
     """
-    m = len(greedy.entries[0].accepted)
-    sends = [0] + [i for i, ev in enumerate(trace.events, start=1) if ev == SEND]
-    backlogged: Verdict | None = None
-    opt_empty: Verdict | None = None
-    for h in range(1, m):
-        row = xi[h - 1]
-        for j in range(1, len(sends)):
-            prev, cur = sends[j - 1], sends[j]
-            if j >= 2 and backlogged is None:
-                if sum(greedy.entries[prev].occupancy[h - 1 :]) > 0 and row[cur] < row[prev]:
-                    backlogged = Verdict(
-                        "transmit_surplus_monotone_backlogged", False, h=h, event=cur
-                    )
-            if opt_empty is None:
-                if opt.entries[prev].occupancy[h - 1] == 0 and row[cur] < row[prev]:
-                    opt_empty = Verdict(
-                        "transmit_surplus_monotone_opt_empty", False, h=h, event=cur
-                    )
-    if backlogged is None:
-        backlogged = Verdict("transmit_surplus_monotone_backlogged", True)
-    if opt_empty is None:
-        opt_empty = Verdict("transmit_surplus_monotone_opt_empty", True)
-    return backlogged, opt_empty
+    events = trace.events
+    sends = [0, *compress(range(1, len(events) + 1), map(eq, events, repeat(SEND)))]
+    prev, cur = sends[:-1], sends[1:]
+    g_occ = greedy.occupancy
+    backlogged = opt_empty = (None, None)  # (h, e) of each statement's first failure
+    for h, row in enumerate(xi, 1):
+        drops = map(lt, map(row.__getitem__, cur), map(row.__getitem__, prev))
+        for j in compress(range(len(cur)), drops):  # xi_h drops from s_j to s_{j+1}
+            p = prev[j]
+            if backlogged[0] is None and j and sum(map(itemgetter(p), g_occ[h - 1 :])) > 0:
+                backlogged = (h, cur[j])
+            if opt_empty[0] is None and opt.occupancy[h - 1][p] == 0:
+                opt_empty = (h, cur[j])
+    return (_verdict("transmit_surplus_monotone_backlogged", backlogged[0] is None, *backlogged),
+            _verdict("transmit_surplus_monotone_opt_empty", opt_empty[0] is None, *opt_empty))
 
 
 def check_aggregate_deficit(greedy: Ledger, opt: Ledger) -> Verdict:
     """Aggregate acceptance bound: for every h,
     sum_{l>=h} (A*_l - A_l) <= sum_{l>=h} A_l at end of trace."""
-    m = _check_paired(greedy, opt)
-    A = greedy.final.accepted
-    Astar = opt.final.accepted
-    for h in range(1, m + 1):
-        tail_a = sum(A[h - 1 :])
-        tail_d = sum(Astar[h - 1 :]) - tail_a
-        if tail_d > tail_a:
-            return Verdict("aggregate_deficit_bound", False, h=h)
-    return Verdict("aggregate_deficit_bound", True)
+    _check_paired(greedy, opt)
+    tail_a = suffix_sums(tuple(map(_last, greedy.accepted)))
+    tail_d = map(sub, suffix_sums(tuple(map(_last, opt.accepted))), tail_a)
+    bad = _first_false(map(le, tail_d, tail_a))
+    return _verdict("aggregate_deficit_bound", bad is None, None if bad is None else bad + 1)
 
 
 def suffix_sums(A: Sequence[int]) -> tuple[int, ...]:
     """Tail sums S_h = A_h + ... + A_m for h in [1, m]."""
-    out = []
-    total = 0
-    for a in reversed(A):
-        total += a
-        out.append(total)
-    return tuple(reversed(out))
+    return tuple(accumulate(reversed(A)))[::-1]
 
 
 def check_D_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
@@ -207,8 +203,8 @@ def check_D_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
     m = len(D)
     for h in range(1, m):
         if D[h - 1] > S[h]:
-            return Verdict("deficit_tail_bound", False, h=h)
-    return Verdict("deficit_tail_bound", True)
+            return _verdict("deficit_tail_bound", False, h)
+    return _verdict("deficit_tail_bound", True)
 
 
 def check_D_sum_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
@@ -216,8 +212,8 @@ def check_D_sum_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
     m = len(D)
     for h in range(1, m - 1):
         if sum(D[h - 1 : m - 1]) > S[h - 1]:
-            return Verdict("deficit_sum_bound", False, h=h)
-    return Verdict("deficit_sum_bound", True)
+            return _verdict("deficit_sum_bound", False, h)
+    return _verdict("deficit_sum_bound", True)
 
 
 def u_recursion(A: Sequence[int]) -> tuple[int, ...]:
@@ -270,8 +266,8 @@ def check_u_bounds(D: Sequence[int], U: Sequence[int]) -> Verdict:
     m = len(D)
     for h in range(1, m):
         if sum(D[h - 1 : m - 1]) > U[h - 1]:
-            return Verdict("u_bounds_hold", False, h=h)
-    return Verdict("u_bounds_hold", True)
+            return _verdict("u_bounds_hold", False, h)
+    return _verdict("u_bounds_hold", True)
 
 
 class _Coefficients(NamedTuple):
@@ -369,15 +365,15 @@ def _delta_chain(
     weighted_A = sum(x * a for x, a in zip(w, A))
 
     if m == 2:
-        return Verdict(name, weighted_D <= w[0] * U[0] and q * w[0] * U[0] <= p * weighted_A)
+        return _verdict(name, weighted_D <= w[0] * U[0] and q * w[0] * U[0] <= p * weighted_A)
     if not co.signs.ok or q * weighted_D > delta[0]:
-        return Verdict(name, False)
+        return _verdict(name, False)
     for h in range(1, m - 2):
         if delta[h - 1] > p * w[h - 1] * A[h - 1] + delta[h]:
-            return Verdict(name, False, h=h)
+            return _verdict(name, False, h)
     if delta[m - 3] > p * sum(x * a for x, a in zip(w[m - 3 :], A[m - 3 :])):
-        return Verdict(name, False, h=m - 2)
-    return Verdict(name, q * weighted_D <= p * weighted_A)
+        return _verdict(name, False, m - 2)
+    return _verdict(name, q * weighted_D <= p * weighted_A)
 
 
 def check_ratio(o: Fraction, g: Fraction, bound: Fraction) -> tuple[Fraction, Verdict]:
@@ -387,9 +383,9 @@ def check_ratio(o: Fraction, g: Fraction, bound: Fraction) -> tuple[Fraction, Ve
     o == 0 (vacuously true, since the optimum is then zero too).
     """
     if g == 0:
-        return Fraction(1), Verdict("ratio_bound", o == 0)
+        return Fraction(1), _verdict("ratio_bound", o == 0)
     ratio = o / g
-    return ratio, Verdict("ratio_bound", ratio <= bound)
+    return ratio, _verdict("ratio_bound", ratio <= bound)
 
 
 def verify_all(
@@ -408,8 +404,8 @@ def verify_all(
 
     xi = compute_xi(greedy_ledger, opt_ledger)
     phi = compute_phi(greedy_ledger, opt_ledger)
-    A = greedy_ledger.final.accepted
-    Astar = opt_ledger.final.accepted
+    A = tuple(map(_last, greedy_ledger.accepted))
+    Astar = tuple(map(_last, opt_ledger.accepted))
     D = tuple(a_star - a for a_star, a in zip(Astar, A))
     S = suffix_sums(A)
     U = u_recursion(A)
@@ -433,11 +429,11 @@ def verify_all(
         opt_empty,
         check_phi_nonneg(phi),
         check_aggregate_deficit(greedy_ledger, opt_ledger),
-        Verdict("top_class_equal", A[m - 1] == Astar[m - 1]),
+        _verdict("top_class_equal", A[m - 1] == Astar[m - 1]),
         check_D_bounds(D, S),
         check_D_sum_bounds(D, S),
         check_u_bounds(D, U),
-        Verdict("u_forms_agree", U == U_explicit),
+        _verdict("u_forms_agree", U == U_explicit),
         co.signs,
         _delta_chain(profile, co, A, D, U, delta),
         ratio_verdict,

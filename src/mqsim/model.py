@@ -98,6 +98,13 @@ class ValueProfile:
             if lo >= hi:
                 raise NotIncreasing(f"values must be strictly increasing: {lo} >= {hi}")
 
+    def __hash__(self) -> int:  # once per profile, not per lru_cache lookup (compute_c, ...)
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.values)  # equal profiles have equal values, as __eq__ compares
+
     @property
     def m(self) -> int:
         return len(self.values)
@@ -163,11 +170,11 @@ class Trace:
 
     @property
     def arrivals(self) -> int:
-        return sum(1 for ev in self.events if ev != SEND)
+        return len(self.events) - self.sends
 
     @property
     def sends(self) -> int:
-        return sum(1 for ev in self.events if ev == SEND)
+        return self.events.count(SEND)
 
     @property
     def drained(self) -> bool:
@@ -178,9 +185,9 @@ class Trace:
                 return False
         return True
 
-    @property
+    @cached_property
     def max_class(self) -> int:
-        return max((ev for ev in self.events if ev != SEND), default=0)
+        return max(self.events, default=0)  # SEND is 0, below every class
 
     def __len__(self) -> int:
         return len(self.events)
