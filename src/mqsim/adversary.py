@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
+from operator import mul
 from typing import Iterable
 
 from .engine import greedy_transmit_counts
@@ -69,7 +70,7 @@ def _evaluate(
     greedy earns nothing (the optimum is then also zero)."""
     m = len(caps)
     tx = greedy_transmit_counts(events, caps, m)
-    g = sum(w * t for w, t in zip(weights, tx))
+    g = sum(map(mul, weights, tx))
     if g == 0:
         return None
     return space.best_scaled(events), g

@@ -1,9 +1,11 @@
 """Deterministic simulation of diligent policies over a trace.
 
-One runner records the per-event ledger, as per-class rows, for any diligent
-schedule; the online greedy policy is simply the schedule that always transmits
-from the highest-indexed nonempty queue.  Admission is never a choice: a
-diligent policy accepts exactly when the destination queue has a vacancy.
+One replay loop checks diligence and records the per-event ledger, as
+per-class rows, for any schedule.  `greedy_schedule` is the only place the
+online greedy policy is written: it yields the schedule that always transmits
+from the highest-indexed nonempty queue, which `run_greedy` replays and the
+searches count.  Admission is never a choice: a diligent policy accepts
+exactly when the destination queue has a vacancy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 from .model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile
@@ -121,49 +123,55 @@ def _actions(kind: str, m: int) -> tuple[Action | None, ...]:
     return (None, *map(Action, repeat(kind), range(1, m + 1)))
 
 
-def _run(
-    trace: Trace,
-    caps: QueueCapacities,
-    profile: ValueProfile,
-    schedule: Schedule | None,
-) -> tuple[Ledger, Schedule]:
-    check_inputs(trace, caps, profile)
+def greedy_schedule(events: tuple[int, ...], caps: tuple[int, ...], m: int) -> list[int | None]:
+    """Greedy's class at each send (None: idle): accept whenever there is a
+    vacancy, transmit from the highest-indexed nonempty queue, idle only when
+    all queues are empty.  Arrival classes must already be checked."""
+    q = [0] * m
+    choices: list[int | None] = []
+    for ev in events:
+        if ev == SEND:
+            for c in range(m - 1, -1, -1):
+                if q[c]:
+                    q[c] -= 1
+                    choices.append(c + 1)
+                    break
+            else:
+                choices.append(None)
+        elif q[ev - 1] < caps[ev - 1]:
+            q[ev - 1] += 1
+    return choices
+
+
+def _run(trace: Trace, caps: QueueCapacities, profile: ValueProfile,
+         choices: tuple[int | None, ...]) -> Ledger:
+    """Replay one class choice per send over checked inputs, validating
+    diligence at each send, and record the ledger."""
     m = profile.m
     B = caps.caps
-    if schedule is not None and len(schedule.choices) != trace.sends:
-        raise MQSimError(
-            f"schedule has {len(schedule.choices)} choices for {trace.sends} sends"
-        )
-
     accept, reject, transmit = _actions(ACCEPT, m), _actions(REJECT, m), _actions(TRANSMIT, m)
-    top_down = range(m, 0, -1)
     acc, tx, q = [0] * m, [0] * m, [0] * m
     # the three vectors after every event, null entry first: row h-1 is flat[h-1::m]
     acc_flat, tx_flat, q_flat = [0] * m, [0] * m, [0] * m
     actions: list[Action] = []
-    choices: list[int | None] = []
+    send_i = 0
 
     for ev in trace.events:
         if ev == SEND:
-            send_i = len(choices)
-            if schedule is None:
-                cls = next(compress(top_down, reversed(q)), None)
-            else:
-                cls = schedule.choices[send_i]
-                if cls is None:
-                    if any(q):
-                        raise DiligenceViolation(send_i, "idle while a queue is nonempty")
-                elif not 1 <= cls <= m:
-                    raise DiligenceViolation(send_i, f"class {cls} out of range")
-                elif q[cls - 1] == 0:
-                    raise DiligenceViolation(send_i, f"class {cls} queue is empty")
-            choices.append(cls)
+            cls = choices[send_i]
             if cls is None:
+                if any(q):
+                    raise DiligenceViolation(send_i, "idle while a queue is nonempty")
                 actions.append(_IDLE)
+            elif not 1 <= cls <= m:
+                raise DiligenceViolation(send_i, f"class {cls} out of range")
+            elif q[cls - 1] == 0:
+                raise DiligenceViolation(send_i, f"class {cls} queue is empty")
             else:
                 q[cls - 1] -= 1
                 tx[cls - 1] += 1
                 actions.append(transmit[cls])
+            send_i += 1
         elif q[ev - 1] < B[ev - 1]:
             q[ev - 1] += 1
             acc[ev - 1] += 1
@@ -175,46 +183,34 @@ def _run(
         q_flat.extend(q)
 
     rows = [tuple(flat[h::m]) for flat in (acc_flat, tx_flat, q_flat) for h in range(m)]
-    ledger = Ledger(tuple(rows[:m]), tuple(rows[m : 2 * m]), tuple(rows[2 * m :]),
-                    tuple(actions), profile.benefit(tx), profile.benefit(acc))
-    return ledger, Schedule(tuple(choices))
+    benefit = profile.benefit(tx)  # a drained trace ends with accepted == transmitted
+    return Ledger(tuple(rows[:m]), tuple(rows[m : 2 * m]), tuple(rows[2 * m :]),
+                  tuple(actions), benefit, benefit if acc == tx else profile.benefit(acc))
 
 
 def run_greedy(
     trace: Trace, caps: QueueCapacities, profile: ValueProfile
 ) -> tuple[Ledger, Schedule]:
-    """Simulate the greedy policy: accept whenever there is a vacancy, transmit
-    from the highest-indexed nonempty queue, idle only when all queues are empty."""
-    return _run(trace, caps, profile, schedule=None)
+    """Simulate the greedy policy: replay `greedy_schedule`, checking diligence."""
+    check_inputs(trace, caps, profile)
+    schedule = Schedule(tuple(greedy_schedule(trace.events, caps.caps, profile.m)))
+    return _run(trace, caps, profile, schedule.choices), schedule
 
 
 def replay_schedule(
     trace: Trace, caps: QueueCapacities, profile: ValueProfile, schedule: Schedule
 ) -> Ledger:
     """Replay an explicit diligent schedule, validating diligence at each send."""
-    ledger, _ = _run(trace, caps, profile, schedule)
-    return ledger
+    check_inputs(trace, caps, profile)
+    if len(schedule.choices) != trace.sends:
+        raise MQSimError(f"schedule has {len(schedule.choices)} choices for {trace.sends} sends")
+    return _run(trace, caps, profile, schedule.choices)
 
 
-def greedy_transmit_counts(
-    events: tuple[int, ...], caps: tuple[int, ...], m: int
-) -> list[int]:
-    """Per-class transmission counts of greedy, without building a ledger.
-
-    Fast path for searches; agrees with run_greedy's final transmitted vector.
-    """
-    q = [0] * m
-    tx = [0] * m
-    for ev in events:
-        if ev == SEND:
-            for c in range(m - 1, -1, -1):
-                if q[c]:
-                    q[c] -= 1
-                    tx[c] += 1
-                    break
-        elif q[ev - 1] < caps[ev - 1]:
-            q[ev - 1] += 1
-    return tx
+def greedy_transmit_counts(events: tuple[int, ...], caps: tuple[int, ...], m: int) -> list[int]:
+    """Per-class transmission counts of greedy, without building a ledger."""
+    choices = greedy_schedule(events, caps, m)
+    return list(map(choices.count, range(1, m + 1)))
 
 
 def ledger_to_tsv(trace: Trace, ledger: Ledger) -> str:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import strategies as st
 
 from mqsim.engine import Schedule, replay_schedule
 from mqsim.model import (
@@ -8,6 +11,7 @@ from mqsim.model import (
     SEND,
     Trace,
     ValueProfile,
+    append_drain,
     parse_trace,
     validate_profile,
 )
@@ -76,3 +80,18 @@ def replay_all(trace, caps, profile):
         (s, replay_schedule(trace, caps, profile, s))
         for s in all_diligent_schedules(trace, caps, profile)
     ]
+
+
+@st.composite
+def instances(draw, max_cap=3, max_len=12):
+    """(profile, caps, trace): m = 2..5 fractional values, caps 1..max_cap, and
+    a raw string of up to max_len events, drained or left raw."""
+    m = draw(st.integers(2, 5))
+    steps = draw(st.lists(
+        st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6),
+        min_size=m, max_size=m))
+    values = [sum(steps[: i + 1]) for i in range(m)]  # strictly increasing, positive
+    caps = draw(st.lists(st.integers(1, max_cap), min_size=m, max_size=m))
+    raw = Trace(tuple(draw(st.lists(st.integers(0, m), max_size=max_len))))
+    trace = append_drain(raw) if draw(st.booleans()) else raw
+    return ValueProfile(tuple(values)), QueueCapacities(tuple(caps)), trace

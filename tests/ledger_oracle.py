@@ -1,6 +1,8 @@
 """The per-event ledger path, kept as the oracle for the columnar one.
 
-`run_entries` is the runner that built one frozen `LedgerEntry` per event;
+`run_entries` is the runner that built one frozen `LedgerEntry` per event,
+with greedy's rule written into its send branch; `transmit_counts` is the
+counting loop the searches used before both became `engine.greedy_schedule`;
 `surplus`, `check_conservation` and `check_surplus_monotonicity` are the
 checkers that walked those entries; `verify_all_entries` is `verify_all`
 assembled from them.  The differential tests assert that `mqsim.engine` and
@@ -111,6 +113,21 @@ def run_entries(
 
     ledger = EntryLedger(tuple(entries), profile.benefit(tx), profile.benefit(acc))
     return ledger, Schedule(tuple(choices))
+
+
+def transmit_counts(events: tuple[int, ...], caps: tuple[int, ...], m: int) -> list[int]:
+    q = [0] * m
+    tx = [0] * m
+    for ev in events:
+        if ev == SEND:
+            for c in range(m - 1, -1, -1):
+                if q[c]:
+                    q[c] -= 1
+                    tx[c] += 1
+                    break
+        elif q[ev - 1] < caps[ev - 1]:
+            q[ev - 1] += 1
+    return tx
 
 
 def surplus(greedy: EntryLedger, opt: EntryLedger, counter: str):

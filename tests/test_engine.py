@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import replay_all
+import ledger_oracle as oracle
+from conftest import instances, replay_all
 from mqsim.engine import (
     ACCEPT,
     Action,
@@ -14,6 +16,7 @@ from mqsim.engine import (
     REJECT,
     Schedule,
     TRANSMIT,
+    greedy_schedule,
     greedy_transmit_counts,
     ledger_to_tsv,
     replay_schedule,
@@ -199,15 +202,17 @@ class TestGreedyDominance:
 
 
 class TestFastPath:
-    def test_matches_ledger(self):
-        rng = random.Random(26)
-        profile = validate_profile((1, 2, 5))
-        caps = QueueCapacities((2, 1, 1))
-        for _ in range(200):
-            trace = random_drained_trace(rng, 3)
-            ledger, _ = run_greedy(trace, caps, profile)
-            counts = greedy_transmit_counts(trace.events, caps.caps, 3)
-            assert tuple(counts) == ledger.final.transmitted
+    # greedy's one rule against the two loops it replaced, kept in the oracle
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(instances(max_cap=4, max_len=16))
+    def test_matches_ledger(self, instance):
+        profile, caps, trace = instance
+        m = profile.m
+        _, expected = oracle.run_entries(trace, caps, profile, None)
+        assert tuple(greedy_schedule(trace.events, caps.caps, m)) == expected.choices
+        counts = greedy_transmit_counts(trace.events, caps.caps, m)
+        assert counts == oracle.transmit_counts(trace.events, caps.caps, m)
+        assert tuple(counts) == run_greedy(trace, caps, profile)[0].final.transmitted
 
 
 class TestLedgerDump:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ledger_oracle as oracle
+from conftest import instances
 from mqsim.analysis import (
     _check_conservation,
     check_aggregate_deficit,
@@ -26,20 +27,7 @@ from mqsim.analysis import (
     verify_all,
 )
 from mqsim.engine import IDLE, Action, Ledger, Schedule, replay_schedule, run_greedy
-from mqsim.model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile, append_drain
-
-
-@st.composite
-def instances(draw):
-    m = draw(st.integers(2, 5))
-    steps = draw(st.lists(
-        st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6),
-        min_size=m, max_size=m))
-    values = [sum(steps[: i + 1]) for i in range(m)]  # strictly increasing, positive
-    caps = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
-    raw = Trace(tuple(draw(st.lists(st.integers(0, m), max_size=12))))
-    trace = append_drain(raw) if draw(st.booleans()) else raw
-    return ValueProfile(tuple(values)), QueueCapacities(tuple(caps)), trace
+from mqsim.model import MQSimError, SEND, Trace
 
 
 def diligent_schedule(draw, trace, caps, m):
