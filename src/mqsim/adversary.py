@@ -90,8 +90,7 @@ def _decode(index: int, length: int, m: int) -> tuple[int, ...]:
 
 
 def _drain_events(events: tuple[int, ...]) -> tuple[int, ...]:
-    k = sum(1 for ev in events if ev != SEND)
-    return events + (SEND,) * k
+    return events + (SEND,) * (len(events) - events.count(SEND))
 
 
 Scored = tuple[int, int, tuple[int, ...]]  # (opt, greedy, drained events)

@@ -88,10 +88,8 @@ class ComparativeReport:
 
 
 def _check_paired(greedy: Ledger, opt: Ledger) -> None:
-    if len(greedy.actions) != len(opt.actions):
-        raise LedgerMismatch(
-            f"event counts differ: {len(greedy.actions)} vs {len(opt.actions)}"
-        )
+    if len(greedy.events) != len(opt.events):
+        raise LedgerMismatch(f"event counts differ: {len(greedy.events)} vs {len(opt.events)}")
     if len(greedy.accepted) != len(opt.accepted):
         raise LedgerMismatch("class counts differ")
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count, repeat
+from itertools import count
+from operator import lt
 from typing import NamedTuple
 
 from .model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile
@@ -43,6 +43,16 @@ class Action:
 _IDLE = Action(IDLE)
 
 
+def _action(ev: int, acc0, acc1, tx0, tx1) -> Action:
+    """What a policy did at one event, read off the counter it moved: an
+    arrival is accepted when its class's count rose, a send transmits the
+    class whose count rose, or idles when none did."""
+    if ev != SEND:
+        return Action(ACCEPT if acc1[ev - 1] > acc0[ev - 1] else REJECT, ev)
+    rose = list(map(lt, tx0, tx1))
+    return Action(TRANSMIT, rose.index(True) + 1) if True in rose else _IDLE
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     """Cumulative counters just after one event.
@@ -67,23 +77,22 @@ class Ledger(NamedTuple):  # not a frozen dataclass: that costs ~0.5 ms more per
     after each event: column 0 is the initial null entry (all zero), column i
     the state just after the i-th trace event.  The occupancy rows record the
     runner's own queue vector, not accepted - transmitted, so the conservation
-    check tests the queue against the counters.  `actions[i-1]` is what the
-    policy did at event i, from one set of `Action`s shared per m.  `entries`
-    and `final` are per-event `LedgerEntry` views built from the rows on
-    demand.  On a drained trace the two benefit figures coincide.
+    check tests the queue against the counters.  `events` is the replayed
+    trace's event tuple.  `entries` and `final` are per-event `LedgerEntry`
+    views built on demand, each action read off its event and the counters.
     """
 
     accepted: tuple[tuple[int, ...], ...]
     transmitted: tuple[tuple[int, ...], ...]
     occupancy: tuple[tuple[int, ...], ...]
-    actions: tuple[Action, ...]
+    events: tuple[int, ...]
     benefit_transmitted: Fraction
-    benefit_accepted: Fraction
 
     @property
     def entries(self) -> tuple[LedgerEntry, ...]:
-        return tuple(map(LedgerEntry, count(), (_IDLE,) + self.actions, zip(*self.accepted),
-                         zip(*self.transmitted), zip(*self.occupancy)))
+        acc, tx = list(zip(*self.accepted)), list(zip(*self.transmitted))
+        actions = (_IDLE, *map(_action, self.events, acc, acc[1:], tx, tx[1:]))
+        return tuple(map(LedgerEntry, count(), actions, acc, tx, zip(*self.occupancy)))
 
     @property
     def final(self) -> LedgerEntry:
@@ -117,12 +126,6 @@ def check_inputs(trace: Trace, caps: QueueCapacities, profile: ValueProfile) -> 
         )
 
 
-@lru_cache(maxsize=64)
-def _actions(kind: str, m: int) -> tuple[Action | None, ...]:
-    """The `kind` actions of classes 1..m (index = class), shared by every ledger."""
-    return (None, *map(Action, repeat(kind), range(1, m + 1)))
-
-
 def greedy_schedule(events: tuple[int, ...], caps: tuple[int, ...], m: int) -> list[int | None]:
     """Greedy's class at each send (None: idle): accept whenever there is a
     vacancy, transmit from the highest-indexed nonempty queue, idle only when
@@ -149,11 +152,9 @@ def _run(trace: Trace, caps: QueueCapacities, profile: ValueProfile,
     diligence at each send, and record the ledger."""
     m = profile.m
     B = caps.caps
-    accept, reject, transmit = _actions(ACCEPT, m), _actions(REJECT, m), _actions(TRANSMIT, m)
     acc, tx, q = [0] * m, [0] * m, [0] * m
     # the three vectors after every event, null entry first: row h-1 is flat[h-1::m]
     acc_flat, tx_flat, q_flat = [0] * m, [0] * m, [0] * m
-    actions: list[Action] = []
     send_i = 0
 
     for ev in trace.events:
@@ -162,7 +163,6 @@ def _run(trace: Trace, caps: QueueCapacities, profile: ValueProfile,
             if cls is None:
                 if any(q):
                     raise DiligenceViolation(send_i, "idle while a queue is nonempty")
-                actions.append(_IDLE)
             elif not 1 <= cls <= m:
                 raise DiligenceViolation(send_i, f"class {cls} out of range")
             elif q[cls - 1] == 0:
@@ -170,22 +170,17 @@ def _run(trace: Trace, caps: QueueCapacities, profile: ValueProfile,
             else:
                 q[cls - 1] -= 1
                 tx[cls - 1] += 1
-                actions.append(transmit[cls])
             send_i += 1
         elif q[ev - 1] < B[ev - 1]:
             q[ev - 1] += 1
             acc[ev - 1] += 1
-            actions.append(accept[ev])
-        else:
-            actions.append(reject[ev])
         acc_flat.extend(acc)
         tx_flat.extend(tx)
         q_flat.extend(q)
 
     rows = [tuple(flat[h::m]) for flat in (acc_flat, tx_flat, q_flat) for h in range(m)]
-    benefit = profile.benefit(tx)  # a drained trace ends with accepted == transmitted
     return Ledger(tuple(rows[:m]), tuple(rows[m : 2 * m]), tuple(rows[2 * m :]),
-                  tuple(actions), benefit, benefit if acc == tx else profile.benefit(acc))
+                  trace.events, profile.benefit(tx))
 
 
 def run_greedy(

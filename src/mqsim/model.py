@@ -176,7 +176,7 @@ class Trace:
     def sends(self) -> int:
         return self.events.count(SEND)
 
-    @property
+    @cached_property
     def drained(self) -> bool:
         balance = 0
         for ev in reversed(self.events):

@@ -4,8 +4,10 @@ Admission is forced for every diligent policy, so the offline optimum only
 chooses which nonempty queue to serve at each send.  Future benefit depends
 only on the remaining events and the current occupancy vector, which makes a
 layered dynamic program over (event index, occupancy) exact.  Benefit-equal
-choices are broken toward the highest class index so the returned schedule
-matches greedy's top-class acceptance count deterministically.
+choices are broken toward the highest class index, which makes the returned
+schedule deterministic.  Whether the tie-break matters to `top_class_equal`
+is unverified: breaking ties toward the lowest class turned no verdict false
+on any trace tried.
 
 Each class has one arrival table and one send table (`arrive_to`,
 `send_to`), each pointing at the state itself when the move is impossible;
@@ -157,9 +159,10 @@ def opt_search(
 ) -> OptResult:
     """Optimal benefit and one optimal diligent schedule for a drained trace.
 
-    Ties at a send are broken toward the highest class index, which keeps the
-    returned schedule's top-class acceptances equal to greedy's.  Raises
-    StateSpaceExceeded when the DP would exceed `state_cap` cells.
+    Ties at a send are broken toward the highest class index, so the returned
+    schedule is deterministic; the tie-break's effect on `top_class_equal` is
+    unverified.  Raises StateSpaceExceeded when the DP would exceed
+    `state_cap` cells.
     """
     check_inputs(trace, caps, profile)
     if not trace.drained:

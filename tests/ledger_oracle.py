@@ -51,7 +51,6 @@ from mqsim.opt import opt_search
 class EntryLedger:
     entries: tuple[LedgerEntry, ...]
     benefit_transmitted: Fraction
-    benefit_accepted: Fraction
 
     @property
     def final(self) -> LedgerEntry:
@@ -111,7 +110,7 @@ def run_entries(
                 action = Action(REJECT, cls)
         entries.append(LedgerEntry(idx, action, tuple(acc), tuple(tx), tuple(q)))
 
-    ledger = EntryLedger(tuple(entries), profile.benefit(tx), profile.benefit(acc))
+    ledger = EntryLedger(tuple(entries), profile.benefit(tx))
     return ledger, Schedule(tuple(choices))
 
 

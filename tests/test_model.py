@@ -223,7 +223,7 @@ class TestAppendDrain:
             caps = QueueCapacities((rng.randint(1, 3), rng.randint(1, 3)))
             ledger, _ = run_greedy(trace, caps, profile)
             assert all(q == 0 for q in ledger.final.occupancy)
-            assert ledger.benefit_transmitted == ledger.benefit_accepted
+            assert ledger.final.accepted == ledger.final.transmitted
 
 
 class TestQueueCapacities:

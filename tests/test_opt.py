@@ -45,6 +45,19 @@ class TestOptSearch:
         assert result.benefit == profile.value(1)
         assert result.schedule == Schedule((1,))
 
+    @pytest.mark.parametrize("values, raw, schedule", [
+        ((1, 2), "A 1\nA 2\nS\nS\n", (2, 1)),
+        ((1, 2, 5), "A 1\nA 2\nA 3\nS\nS\nS\n", (3, 2, 1)),
+    ])
+    def test_ties_go_to_the_highest_class(self, values, raw, schedule):
+        # every arrival is accepted and sent whatever the order, so every
+        # order earns the same benefit and the tie-break alone picks it
+        profile = validate_profile(values)
+        caps = QueueCapacities((1,) * profile.m)
+        result = opt_search(parse_trace(raw), caps, profile)
+        assert result.benefit == sum(profile.values)
+        assert result.schedule == Schedule(schedule)
+
     def test_requires_drained(self, two_class):
         profile, caps = two_class
         with pytest.raises(ValueError):

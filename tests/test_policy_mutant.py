@@ -1,20 +1,23 @@
-"""A wrong greedy rule is caught by the verifier and by the search.
+"""A wrong greedy rule or surplus sum is caught by the verifier and by the search.
 
 `engine.greedy_schedule` is the only place greedy's rule is written, so
 patching it changes `run_greedy` (and through it `verify_all`) and
 `greedy_transmit_counts` (and through it the searches) at once.  The mutant
 serves the lowest nonempty class; each trace below turns named verdicts false
 under it, and the same patch makes `exhaustive_worst` report a ratio above the
-proven bound.
+proven bound.  A second mutant makes `analysis._surplus` skip row h of
+greedy's tail sum, and a one-arrival trace turns three verdicts false.
 """
 
 from __future__ import annotations
 
+from operator import add, sub
+
 import pytest
 
-from mqsim import engine
+from mqsim import analysis, engine
 from mqsim.adversary import BoundFalsified, exhaustive_worst
-from mqsim.analysis import verify_all
+from mqsim.analysis import Verdict, verify_all
 from mqsim.model import QueueCapacities, SEND, append_drain, parse_trace, validate_profile
 
 
@@ -72,3 +75,23 @@ def test_lowest_class_rule_falsifies_the_search(mutant):
     profile = validate_profile((1, 2, 5))
     with pytest.raises(BoundFalsified):
         exhaustive_worst(profile, QueueCapacities((1, 1, 1)), 5)
+
+
+def tail_skipping_row_h(greedy, opt, counter):
+    """`_surplus` off by one: row h takes g_{h+1} + ... + g_m, not g_h + ... + g_m."""
+    g, o = getattr(greedy, counter), getattr(opt, counter)
+    tail, rows = g[-1], []
+    for h in range(len(g) - 1, 0, -1):
+        rows.append(tuple(map(sub, tail, o[h - 1])))
+        tail = tuple(map(add, tail, g[h - 1]))
+    return tuple(reversed(rows))
+
+
+def test_surplus_off_by_one_turns_verdicts_false(monkeypatch):
+    monkeypatch.setattr(analysis, "_surplus", tail_skipping_row_h)
+    found = verdicts((1, 2, 5), "A1")
+    assert [line for line in map(Verdict.line, found.values()) if " false" in line] == [
+        "verdict transmit_surplus_nonneg false h=1 e=2",
+        "verdict transmit_surplus_monotone_opt_empty false h=1 e=2",
+        "verdict accept_surplus_nonneg false h=1 e=1",
+    ]
