@@ -31,11 +31,9 @@ from .analysis import (
     verify_all,
 )
 from .engine import (
-    Action,
     ClassOutOfRange,
     DiligenceViolation,
     Ledger,
-    LedgerEntry,
     Schedule,
     ledger_to_tsv,
     replay_schedule,

@@ -17,7 +17,7 @@ from multiprocessing import get_context
 from operator import mul
 from typing import Iterable
 
-from .engine import greedy_transmit_counts
+from .engine import check_dims, greedy_transmit_counts
 from .model import (
     MQSimError,
     QueueCapacities,
@@ -177,6 +177,7 @@ def exhaustive_worst(
     zero-benefit ones).  `budget` caps the raw strings enumerated and
     `state_cap` the DP cells of the longest candidate.
     """
+    check_dims(caps, profile)
     m = profile.m
     total = sum((m + 1) ** length for length in range(max_len + 1))
     if total > budget:
@@ -233,6 +234,7 @@ def random_worst(
     """Maximum drained ratio over `samples` seeded random strings of `length`
     events.  Identical seed and parameters give an identical result.
     `state_cap` caps the DP cells of the longest possible drained string."""
+    check_dims(caps, profile)
     rng = random.Random(seed)
     space = _state_space(caps.caps, profile.weights, 2 * length, state_cap)
     bound = compute_c(profile).upper

@@ -88,8 +88,9 @@ class ComparativeReport:
 
 
 def _check_paired(greedy: Ledger, opt: Ledger) -> None:
-    if len(greedy.events) != len(opt.events):
-        raise LedgerMismatch(f"event counts differ: {len(greedy.events)} vs {len(opt.events)}")
+    n, n_opt = len(greedy.accepted[0]) - 1, len(opt.accepted[0]) - 1  # minus the null entry
+    if n != n_opt:
+        raise LedgerMismatch(f"event counts differ: {n} vs {n_opt}")
     if len(greedy.accepted) != len(opt.accepted):
         raise LedgerMismatch("class counts differ")
 

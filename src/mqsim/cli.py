@@ -103,11 +103,7 @@ def _load_profile_caps(args) -> tuple[ValueProfile, QueueCapacities]:
         return parse_config(Path(args.config).read_text())
     if not args.values or not args.caps:
         raise MQSimError("need --values and --caps (or --config)")
-    profile = validate_profile(args.values)
-    caps = QueueCapacities(tuple(args.caps))
-    if caps.m != profile.m:
-        raise MQSimError(f"{caps.m} capacities given for {profile.m} values")
-    return profile, caps
+    return validate_profile(args.values), QueueCapacities(tuple(args.caps))
 
 
 def _load_trace(args) -> Trace:
@@ -128,8 +124,8 @@ def cmd_simulate(args) -> int:
     g = greedy_ledger.benefit_transmitted
     o = opt_result.benefit
     ratio, _ = check_ratio(o, g, compute_c(profile).upper)
-    print("greedy accepted:", ",".join(map(str, greedy_ledger.final.accepted)))
-    print("greedy transmitted:", ",".join(map(str, greedy_ledger.final.transmitted)))
+    print("greedy accepted:", ",".join(str(row[-1]) for row in greedy_ledger.accepted))
+    print("greedy transmitted:", ",".join(str(row[-1]) for row in greedy_ledger.transmitted))
     print("greedy schedule:", greedy_schedule.to_text())
     print("opt schedule:", opt_result.schedule.to_text())
     print(f"greedy={g} opt={o} ratio={ratio}")

@@ -1,27 +1,23 @@
 """Deterministic simulation of diligent policies over a trace.
 
-One replay loop checks diligence and records the per-event ledger, as
-per-class rows, for any schedule.  `greedy_schedule` is the only place the
-online greedy policy is written: it yields the schedule that always transmits
-from the highest-indexed nonempty queue, which `run_greedy` replays and the
-searches count.  Admission is never a choice: a diligent policy accepts
-exactly when the destination queue has a vacancy.
+One replay loop checks diligence and records the ledger of any schedule: per
+class, its accepted, transmitted and occupancy counts after every event.  A
+ledger is only those rows; `ledger_to_tsv` reads each event's action back off
+the counter it moved.  `greedy_schedule` is the only place the online greedy
+policy is written: it yields the schedule that always transmits from the
+highest-indexed nonempty queue, which `run_greedy` replays and the searches
+count.  Admission is never a choice: a diligent policy accepts exactly when the
+destination queue has a vacancy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from operator import lt
 from typing import NamedTuple
 
 from .model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile
-
-ACCEPT = "accept"
-REJECT = "reject"
-TRANSMIT = "transmit"
-IDLE = "idle"
 
 
 class ClassOutOfRange(MQSimError):
@@ -34,42 +30,6 @@ class DiligenceViolation(MQSimError):
         self.send_index = send_index
 
 
-@dataclass(frozen=True)
-class Action:
-    kind: str
-    cls: int | None = None
-
-
-_IDLE = Action(IDLE)
-
-
-def _action(ev: int, acc0, acc1, tx0, tx1) -> Action:
-    """What a policy did at one event, read off the counter it moved: an
-    arrival is accepted when its class's count rose, a send transmits the
-    class whose count rose, or idles when none did."""
-    if ev != SEND:
-        return Action(ACCEPT if acc1[ev - 1] > acc0[ev - 1] else REJECT, ev)
-    rose = list(map(lt, tx0, tx1))
-    return Action(TRANSMIT, rose.index(True) + 1) if True in rose else _IDLE
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    """Cumulative counters just after one event.
-
-    `accepted[h-1]` / `transmitted[h-1]` / `occupancy[h-1]` are the class-h
-    acceptance count, transmission count, and queue occupancy; the
-    conservation identity accepted = transmitted + occupancy holds per class
-    at every entry.
-    """
-
-    event_index: int
-    action: Action
-    accepted: tuple[int, ...]
-    transmitted: tuple[int, ...]
-    occupancy: tuple[int, ...]
-
-
 class Ledger(NamedTuple):  # not a frozen dataclass: that costs ~0.5 ms more per import
     """Per-event history of one diligent policy, as per-class integer rows.
 
@@ -77,26 +37,13 @@ class Ledger(NamedTuple):  # not a frozen dataclass: that costs ~0.5 ms more per
     after each event: column 0 is the initial null entry (all zero), column i
     the state just after the i-th trace event.  The occupancy rows record the
     runner's own queue vector, not accepted - transmitted, so the conservation
-    check tests the queue against the counters.  `events` is the replayed
-    trace's event tuple.  `entries` and `final` are per-event `LedgerEntry`
-    views built on demand, each action read off its event and the counters.
+    check tests the queue against the counters.
     """
 
     accepted: tuple[tuple[int, ...], ...]
     transmitted: tuple[tuple[int, ...], ...]
     occupancy: tuple[tuple[int, ...], ...]
-    events: tuple[int, ...]
     benefit_transmitted: Fraction
-
-    @property
-    def entries(self) -> tuple[LedgerEntry, ...]:
-        acc, tx = list(zip(*self.accepted)), list(zip(*self.transmitted))
-        actions = (_IDLE, *map(_action, self.events, acc, acc[1:], tx, tx[1:]))
-        return tuple(map(LedgerEntry, count(), actions, acc, tx, zip(*self.occupancy)))
-
-    @property
-    def final(self) -> LedgerEntry:
-        return self.entries[-1]
 
 
 @dataclass(frozen=True)
@@ -108,18 +55,16 @@ class Schedule:
     def to_text(self) -> str:
         return ",".join("-" if c is None else str(c) for c in self.choices)
 
-    @classmethod
-    def from_text(cls, text: str) -> "Schedule":
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(tuple(None if t == "-" else int(t) for t in text.split(",")))
+
+def check_dims(caps: QueueCapacities, profile: ValueProfile) -> None:
+    """Reject a capacity vector whose length is not the profile's class count."""
+    if caps.m != profile.m:
+        raise MQSimError(f"{caps.m} capacities given for {profile.m} classes")
 
 
 def check_inputs(trace: Trace, caps: QueueCapacities, profile: ValueProfile) -> None:
     """Reject mismatched dimensions or arrival classes outside the profile."""
-    if caps.m != profile.m:
-        raise MQSimError(f"{caps.m} capacities given for {profile.m} classes")
+    check_dims(caps, profile)
     if trace.max_class > profile.m:
         raise ClassOutOfRange(
             f"trace arrives class {trace.max_class} but profile has m={profile.m}"
@@ -180,7 +125,7 @@ def _run(trace: Trace, caps: QueueCapacities, profile: ValueProfile,
 
     rows = [tuple(flat[h::m]) for flat in (acc_flat, tx_flat, q_flat) for h in range(m)]
     return Ledger(tuple(rows[:m]), tuple(rows[m : 2 * m]), tuple(rows[2 * m :]),
-                  trace.events, profile.benefit(tx))
+                  profile.benefit(tx))
 
 
 def run_greedy(
@@ -209,14 +154,23 @@ def greedy_transmit_counts(events: tuple[int, ...], caps: tuple[int, ...], m: in
 
 
 def ledger_to_tsv(trace: Trace, ledger: Ledger) -> str:
-    """Tab-separated per-event dump: index, event kind, action, A, delta, q."""
+    """Tab-separated per-event dump: index, event kind, action, A, delta, q.
+
+    Each action is read off the counter its event moved: an arrival of class c
+    is `accept c` when class c's accepted count rose, else `reject c`; a send
+    is `transmit c` for the class whose transmitted count rose, else `idle`.
+    """
+    acc, tx, q = (list(zip(*rows)) for rows in ledger[:3])  # one tuple per column
     lines = ["# event\tkind\taction\tA\tdelta\tq"]
-    for entry in ledger.entries:
-        ev = trace.events[entry.event_index - 1] if entry.event_index else None
-        kind = "init" if ev is None else "send" if ev == SEND else f"arrive {ev}"
-        action = entry.action.kind + ("" if entry.action.cls is None else f" {entry.action.cls}")
-        lines.append("\t".join([str(entry.event_index), kind, action,
-                                ",".join(map(str, entry.accepted)),
-                                ",".join(map(str, entry.transmitted)),
-                                ",".join(map(str, entry.occupancy))]))
+    for i, ev in enumerate((None, *trace.events)):
+        if ev is None:
+            kind, action = "init", "idle"
+        elif ev == SEND:
+            rose = list(map(lt, tx[i - 1], tx[i]))
+            kind, action = "send", f"transmit {rose.index(True) + 1}" if True in rose else "idle"
+        else:
+            took = acc[i - 1][ev - 1] < acc[i][ev - 1]
+            kind, action = f"arrive {ev}", f"{'accept' if took else 'reject'} {ev}"
+        counts = (",".join(map(str, col[i])) for col in (acc, tx, q))
+        lines.append("\t".join([str(i), kind, action, *counts]))
     return "\n".join(lines) + "\n"

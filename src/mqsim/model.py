@@ -295,14 +295,13 @@ def recurrence_values(m: int, doubled: bool = False) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def matches_recurrence(values: Sequence[Fraction], doubled: bool = False) -> bool:
-    """True iff v_{i+1} = v_i + T_i (or 2*v_i + T_i) holds for every i in [2, m-1].
+def matches_recurrence(values: Sequence[Fraction]) -> bool:
+    """True iff v_{i+1} = v_i + T_i holds for every i in [2, m-1].
 
     Sequences with m < 3 have no constrained terms and never match.
     """
     for i in range(2, len(values)):
-        head = 2 * values[i - 1] if doubled else values[i - 1]
-        if values[i] != head + doubling_tail(values, i):
+        if values[i] != values[i - 1] + doubling_tail(values, i):
             return False
     return len(values) >= 3
 

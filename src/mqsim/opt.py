@@ -48,7 +48,6 @@ class StateSpaceExceeded(MQSimError):
 class OptResult:
     benefit: Fraction
     schedule: Schedule
-    states_explored: int
 
 
 class _StateSpace:
@@ -188,8 +187,7 @@ def opt_search(
             s = space.arrive_to[ev - 1][s]
 
     benefit = Fraction(tables[0][0], profile.scale)  # phi[0] = 0
-    states = space.size * (len(trace.events) + 1)
-    return OptResult(benefit=benefit, schedule=Schedule(tuple(choices)), states_explored=states)
+    return OptResult(benefit=benefit, schedule=Schedule(tuple(choices)))
 
 
 def opt_bruteforce(

@@ -33,6 +33,17 @@ def witness() -> Trace:
     return parse_trace("A 1\nA 2\nS\nA 1\nS\nS\n")
 
 
+def last(rows) -> tuple[int, ...]:
+    """Each class's end-of-trace count in one counter's ledger rows."""
+    return tuple(row[-1] for row in rows)
+
+
+def columns(ledger) -> list[tuple[tuple[int, ...], ...]]:
+    """The (accepted, transmitted, occupancy) vectors after each event of a
+    ledger, the null entry first."""
+    return list(zip(*(zip(*rows) for rows in ledger[:3])))
+
+
 def all_diligent_schedules(
     trace: Trace, caps: QueueCapacities, profile: ValueProfile
 ) -> list[Schedule]:

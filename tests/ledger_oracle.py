@@ -1,8 +1,10 @@
 """The per-event ledger path, kept as the oracle for the columnar one.
 
 `run_entries` is the runner that built one frozen `LedgerEntry` per event,
-with greedy's rule written into its send branch; `transmit_counts` is the
-counting loop the searches used before both became `engine.greedy_schedule`;
+with the `Action` taken at it and greedy's rule written into its send branch;
+`transmit_counts` is the counting loop the searches used before both became
+`engine.greedy_schedule`; `tsv` is the per-event dump that read those entries
+before `engine.ledger_to_tsv` read the rows;
 `surplus`, `check_conservation` and `check_surplus_monotonicity` are the
 checkers that walked those entries; `verify_all_entries` is `verify_all`
 assembled from them.  The differential tests assert that `mqsim.engine` and
@@ -32,19 +34,31 @@ from mqsim.analysis import (
     u_explicit,
     u_recursion,
 )
-from mqsim.engine import (
-    ACCEPT,
-    IDLE,
-    REJECT,
-    TRANSMIT,
-    Action,
-    DiligenceViolation,
-    LedgerEntry,
-    Schedule,
-    check_inputs,
-)
+from mqsim.engine import DiligenceViolation, Schedule, check_inputs
 from mqsim.model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile, compute_c
 from mqsim.opt import opt_search
+
+ACCEPT = "accept"
+REJECT = "reject"
+TRANSMIT = "transmit"
+IDLE = "idle"
+
+
+@dataclass(frozen=True)
+class Action:
+    kind: str
+    cls: int | None = None
+
+
+@dataclass(frozen=True)
+class LedgerEntry:
+    """Cumulative counters just after one event, and the action taken at it."""
+
+    event_index: int
+    action: Action
+    accepted: tuple[int, ...]
+    transmitted: tuple[int, ...]
+    occupancy: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -112,6 +126,19 @@ def run_entries(
 
     ledger = EntryLedger(tuple(entries), profile.benefit(tx))
     return ledger, Schedule(tuple(choices))
+
+
+def tsv(trace: Trace, ledger: EntryLedger) -> str:
+    lines = ["# event\tkind\taction\tA\tdelta\tq"]
+    for entry in ledger.entries:
+        ev = trace.events[entry.event_index - 1] if entry.event_index else None
+        kind = "init" if ev is None else "send" if ev == SEND else f"arrive {ev}"
+        action = entry.action.kind + ("" if entry.action.cls is None else f" {entry.action.cls}")
+        lines.append("\t".join([str(entry.event_index), kind, action,
+                                ",".join(map(str, entry.accepted)),
+                                ",".join(map(str, entry.transmitted)),
+                                ",".join(map(str, entry.occupancy))]))
+    return "\n".join(lines) + "\n"
 
 
 def transmit_counts(events: tuple[int, ...], caps: tuple[int, ...], m: int) -> list[int]:

@@ -17,12 +17,28 @@ from mqsim.adversary import (
 from mqsim.analysis import verify_all
 from mqsim.model import (
     BoundReport,
+    MQSimError,
     QueueCapacities,
     SEND,
     compute_c,
     validate_profile,
 )
 from mqsim.opt import StateSpaceExceeded
+
+
+class TestDimensions:
+    # a caps vector of the wrong length is refused before the budget or the
+    # state space is looked at (both caps below would otherwise raise first)
+    @pytest.mark.parametrize("caps", [(1, 1), (1, 1, 1, 1)])
+    def test_both_searches_check_dimensions_first(self, caps):
+        profile, caps = validate_profile((1, 2, 5)), QueueCapacities(caps)
+        message = f"^{caps.m} capacities given for 3 classes$"
+        with pytest.raises(MQSimError, match=message) as exc:
+            exhaustive_worst(profile, caps, 4, budget=1, state_cap=1)
+        assert exc.type is MQSimError
+        with pytest.raises(MQSimError, match=message) as exc:
+            random_worst(profile, caps, 6, 50, 1, state_cap=1)
+        assert exc.type is MQSimError
 
 
 class TestExhaustive:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import last
 from mqsim.analysis import (
     LedgerMismatch,
     MTooSmall,
@@ -148,23 +149,23 @@ class TestAggregateDeficit:
         # A = (1,1), A* = (2,1): h=1 gives (2+1)-(1+1) = 1 <= 2.
         profile, caps = two_class
         greedy_ledger, opt_ledger = ledger_pair(witness, caps, profile)
-        assert greedy_ledger.final.accepted == (1, 1)
-        assert opt_ledger.final.accepted == (2, 1)
+        assert last(greedy_ledger.accepted) == (1, 1)
+        assert last(opt_ledger.accepted) == (2, 1)
         assert check_aggregate_deficit(greedy_ledger, opt_ledger).ok
 
     def test_top_class_case_is_equality(self, two_class, witness):
         # At h = m the bound reduces to A*_m - A_m <= A_m; the deficit is 0.
         profile, caps = two_class
         greedy_ledger, opt_ledger = ledger_pair(witness, caps, profile)
-        assert greedy_ledger.final.accepted[-1] == opt_ledger.final.accepted[-1]
+        assert greedy_ledger.accepted[-1][-1] == opt_ledger.accepted[-1][-1]
 
 
 class TestDBounds:
     def test_witness(self, two_class, witness):
         profile, caps = two_class
         greedy_ledger, opt_ledger = ledger_pair(witness, caps, profile)
-        A = greedy_ledger.final.accepted
-        D = tuple(a_star - a for a_star, a in zip(opt_ledger.final.accepted, A))
+        A = last(greedy_ledger.accepted)
+        D = tuple(a_star - a for a_star, a in zip(last(opt_ledger.accepted), A))
         S = suffix_sums(A)
         assert D == (1, 0)
         assert S == (2, 1)
@@ -174,8 +175,8 @@ class TestDBounds:
     def test_all_send_trace(self, two_class):
         profile, caps = two_class
         greedy_ledger, opt_ledger = ledger_pair(Trace((SEND, SEND)), caps, profile)
-        A = greedy_ledger.final.accepted
-        D = tuple(a_star - a for a_star, a in zip(opt_ledger.final.accepted, A))
+        A = last(greedy_ledger.accepted)
+        D = tuple(a_star - a for a_star, a in zip(last(opt_ledger.accepted), A))
         assert check_D_bounds(D, suffix_sums(A)).ok
 
     def test_checker_mechanics(self):
@@ -294,8 +295,8 @@ class TestDeltaChain:
         for _ in range(80):
             trace = random_drained_trace(rng, 4)
             greedy_ledger, opt_ledger = ledger_pair(trace, caps, profile)
-            A = greedy_ledger.final.accepted
-            D = tuple(a_star - a for a_star, a in zip(opt_ledger.final.accepted, A))
+            A = last(greedy_ledger.accepted)
+            D = tuple(a_star - a for a_star, a in zip(last(opt_ledger.accepted), A))
             U = u_recursion(A)
             delta = compute_delta(profile, c_star, U, suffix_sums(A))
             chain = [sum((v[h] * D[h] for h in range(3)), Fraction(0)), delta[0]]

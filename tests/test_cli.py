@@ -280,3 +280,9 @@ class TestArgumentErrors:
             ["simulate", "--values", "1", "2", "--caps", "1",
              "--trace", witness_file], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("mode", [["--max-len", "4"], ["--samples", "5", "--seed", "1"]])
+    def test_search_caps_length_mismatch_exit_2(self, mode, capsys):
+        code, out, err = run(
+            ["search", "--values", "1", "2", "5", "--caps", "1", "1", *mode], capsys)
+        assert (code, out, err) == (2, "", "error: 2 capacities given for 3 classes\n")

@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 import ledger_oracle as oracle
-from conftest import instances, replay_all
+from conftest import columns, instances, last, replay_all
 from mqsim.engine import (
-    ACCEPT,
-    Action,
     ClassOutOfRange,
     DiligenceViolation,
-    IDLE,
-    REJECT,
+    Ledger,
     Schedule,
-    TRANSMIT,
     greedy_schedule,
     greedy_transmit_counts,
     ledger_to_tsv,
@@ -41,41 +37,48 @@ def random_drained_trace(rng, m, max_len=12):
     return append_drain(Trace(events))
 
 
+def dumped_actions(trace, ledger):
+    """The action column of `ledger_to_tsv`, the null entry's first."""
+    return [line.split("\t")[2] for line in ledger_to_tsv(trace, ledger).splitlines()[1:]]
+
+
 class TestGreedyWitness:
     def test_benefit_and_actions(self, two_class, witness):
         profile, caps = two_class
         ledger, schedule = run_greedy(witness, caps, profile)
         assert ledger.benefit_transmitted == 3
-        actions = [e.action for e in ledger.entries[1:]]
+        actions = dumped_actions(witness, ledger)[1:]
         assert actions == [
-            Action(ACCEPT, 1),
-            Action(ACCEPT, 2),
-            Action(TRANSMIT, 2),
-            Action(REJECT, 1),
-            Action(TRANSMIT, 1),
-            Action(IDLE),
+            "accept 1",
+            "accept 2",
+            "transmit 2",
+            "reject 1",
+            "transmit 1",
+            "idle",
         ]
         assert schedule.choices == (2, 1, None)
 
     def test_initial_null_entry(self, two_class, witness):
         profile, caps = two_class
         ledger, _ = run_greedy(witness, caps, profile)
-        first = ledger.entries[0]
-        assert first.event_index == 0
-        assert first.accepted == first.transmitted == first.occupancy == (0, 0)
+        assert {len(row) for rows in ledger[:3] for row in rows} == {len(witness.events) + 1}
+        accepted, transmitted, occupancy = columns(ledger)[0]
+        assert accepted == transmitted == occupancy == (0, 0)
 
     def test_highest_class_served_first(self, two_class):
         profile, caps = two_class
-        ledger, _ = run_greedy(parse_trace("A 1\nA 2\nS\n"), caps, profile)
-        assert ledger.entries[3].action == Action(TRANSMIT, 2)
+        trace = parse_trace("A 1\nA 2\nS\n")
+        ledger, _ = run_greedy(trace, caps, profile)
+        assert dumped_actions(trace, ledger)[3] == "transmit 2"
 
 
 class TestGreedyBasics:
     def test_zero_arrivals_all_idle(self, two_class):
         profile, caps = two_class
-        ledger, schedule = run_greedy(Trace((SEND, SEND, SEND)), caps, profile)
+        trace = Trace((SEND, SEND, SEND))
+        ledger, schedule = run_greedy(trace, caps, profile)
         assert ledger.benefit_transmitted == 0
-        assert all(e.action == Action(IDLE) for e in ledger.entries[1:])
+        assert all(action == "idle" for action in dumped_actions(trace, ledger)[1:])
         assert schedule.choices == (None, None, None)
 
     def test_class_out_of_range(self, two_class):
@@ -90,6 +93,9 @@ class TestGreedyBasics:
 
 
 class TestLedgerInvariants:
+    def test_a_ledger_is_its_rows(self):
+        assert Ledger._fields == ("accepted", "transmitted", "occupancy", "benefit_transmitted")
+
     def test_conservation_everywhere(self):
         rng = random.Random(21)
         profile = validate_profile((1, 2, 5))
@@ -97,13 +103,10 @@ class TestLedgerInvariants:
         for _ in range(150):
             trace = random_drained_trace(rng, 3)
             ledger, _ = run_greedy(trace, caps, profile)
-            for entry in ledger.entries:
+            for accepted, transmitted, occupancy in columns(ledger):
                 for h in range(3):
-                    assert (
-                        entry.accepted[h]
-                        == entry.transmitted[h] + entry.occupancy[h]
-                    )
-                    assert 0 <= entry.occupancy[h] <= caps.caps[h]
+                    assert accepted[h] == transmitted[h] + occupancy[h]
+                    assert 0 <= occupancy[h] <= caps.caps[h]
 
     def test_monotone_counters_step_at_most_one(self):
         rng = random.Random(22)
@@ -112,11 +115,12 @@ class TestLedgerInvariants:
         for _ in range(150):
             trace = random_drained_trace(rng, 2)
             ledger, _ = run_greedy(trace, caps, profile)
-            for prev, cur in zip(ledger.entries, ledger.entries[1:]):
-                assert all(c >= p for c, p in zip(cur.accepted, prev.accepted))
-                assert all(c >= p for c, p in zip(cur.transmitted, prev.transmitted))
-                assert sum(cur.accepted) - sum(prev.accepted) in (0, 1)
-                assert sum(cur.transmitted) - sum(prev.transmitted) in (0, 1)
+            entries = columns(ledger)
+            for (prev_acc, prev_tx, _), (acc, tx, _) in zip(entries, entries[1:]):
+                assert all(c >= p for c, p in zip(acc, prev_acc))
+                assert all(c >= p for c, p in zip(tx, prev_tx))
+                assert sum(acc) - sum(prev_acc) in (0, 1)
+                assert sum(tx) - sum(prev_tx) in (0, 1)
 
     def test_diligence_of_greedy(self):
         # Never idle while nonempty; never reject with a vacancy.
@@ -126,12 +130,13 @@ class TestLedgerInvariants:
         for _ in range(150):
             trace = random_drained_trace(rng, 3)
             ledger, _ = run_greedy(trace, caps, profile)
-            for prev, cur in zip(ledger.entries, ledger.entries[1:]):
-                if cur.action.kind == IDLE:
-                    assert all(q == 0 for q in prev.occupancy)
-                if cur.action.kind == REJECT:
-                    cls = cur.action.cls
-                    assert prev.occupancy[cls - 1] == caps.caps[cls - 1]
+            # each action against the occupancy just before it
+            for (_, _, prev_occ), action in zip(columns(ledger), dumped_actions(trace, ledger)[1:]):
+                if action == "idle":
+                    assert all(q == 0 for q in prev_occ)
+                if action.startswith("reject"):
+                    cls = int(action.split()[1])
+                    assert prev_occ[cls - 1] == caps.caps[cls - 1]
 
     def test_drained_accept_equals_transmit(self):
         rng = random.Random(24)
@@ -140,7 +145,7 @@ class TestLedgerInvariants:
         for _ in range(100):
             trace = random_drained_trace(rng, 2)
             ledger, _ = run_greedy(trace, caps, profile)
-            assert ledger.final.accepted == ledger.final.transmitted
+            assert last(ledger.accepted) == last(ledger.transmitted)
 
 
 class TestReplay:
@@ -173,10 +178,6 @@ class TestReplay:
         with pytest.raises(MQSimError):
             replay_schedule(witness, caps, profile, Schedule((1,)))
 
-    def test_schedule_text_round_trip(self):
-        for schedule in [Schedule(()), Schedule((None,)), Schedule((1, 2, None, 3))]:
-            assert Schedule.from_text(schedule.to_text()) == schedule
-
 
 class TestGreedyDominance:
     def test_top_class_acceptances_maximal(self, two_class, witness):
@@ -185,8 +186,8 @@ class TestGreedyDominance:
         profile, caps = two_class
         greedy_ledger, _ = run_greedy(witness, caps, profile)
         for _, ledger in replay_all(witness, caps, profile):
-            for ge, oe in zip(greedy_ledger.entries, ledger.entries):
-                assert ge.accepted[-1] >= oe.accepted[-1]
+            for g, o in zip(greedy_ledger.accepted[-1], ledger.accepted[-1]):
+                assert g >= o
 
     def test_against_all_schedules_small_traces(self):
         profile = validate_profile((1, 2))
@@ -196,8 +197,8 @@ class TestGreedyDominance:
             trace = random_drained_trace(rng, 2, max_len=5)
             greedy_ledger, _ = run_greedy(trace, caps, profile)
             for _, ledger in replay_all(trace, caps, profile):
-                for ge, oe in zip(greedy_ledger.entries, ledger.entries):
-                    assert ge.accepted[-1] >= oe.accepted[-1]
+                for g, o in zip(greedy_ledger.accepted[-1], ledger.accepted[-1]):
+                    assert g >= o
 
 
 class TestFastPath:
@@ -211,7 +212,7 @@ class TestFastPath:
         assert tuple(greedy_schedule(trace.events, caps.caps, m)) == expected.choices
         counts = greedy_transmit_counts(trace.events, caps.caps, m)
         assert counts == oracle.transmit_counts(trace.events, caps.caps, m)
-        assert tuple(counts) == run_greedy(trace, caps, profile)[0].final.transmitted
+        assert tuple(counts) == last(run_greedy(trace, caps, profile)[0].transmitted)
 
 
 class TestLedgerDump:

@@ -1,12 +1,12 @@
 """The columnar ledger against the per-event oracle, and checkers shown to fail.
 
-`ledger_oracle` keeps the runner that built one `LedgerEntry` per event and
-the checkers that walked those entries.  The differential test replays greedy,
-random diligent schedules and broken schedules through both paths and
-compares every value, error and verdict; on drained traces it compares whole
-`verify_all` reports.  The falsifiability tests build ledgers straight from
-rows, so that each conservation and monotonicity verdict comes back false at
-a known (h, e).
+`ledger_oracle` keeps the runner that built one `LedgerEntry` per event, and
+the dump and the checkers that walked those entries.  The differential test
+replays greedy, random diligent schedules and broken schedules through both
+paths and compares every row (the entries transposed), every dumped action,
+error and verdict; on drained traces it compares whole `verify_all` reports.
+The falsifiability tests build ledgers straight from rows, so that each
+conservation and monotonicity verdict comes back false at a known (h, e).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from mqsim.analysis import (
     compute_xi,
     verify_all,
 )
-from mqsim.engine import Ledger, Schedule, replay_schedule, run_greedy
+from mqsim.engine import Ledger, Schedule, ledger_to_tsv, replay_schedule, run_greedy
 from mqsim.model import MQSimError, SEND, Trace
 
 
@@ -54,10 +54,12 @@ def outcome(run):
         return type(exc), str(exc), getattr(exc, "send_index", None)
 
 
-def same_ledger(ledger: Ledger, expected: oracle.EntryLedger):
-    assert ledger.entries == expected.entries
-    assert ledger.final == expected.final
+def same_ledger(trace, ledger: Ledger, expected: oracle.EntryLedger):
+    for counter in ("accepted", "transmitted", "occupancy"):
+        columns = [getattr(entry, counter) for entry in expected.entries]
+        assert getattr(ledger, counter) == tuple(zip(*columns)), counter
     assert ledger.benefit_transmitted == expected.benefit_transmitted
+    assert ledger_to_tsv(trace, ledger) == oracle.tsv(trace, expected)
 
 
 def same_checks(trace, greedy, opt, greedy_o, opt_o):
@@ -78,13 +80,13 @@ def test_rows_match_entry_oracle(instance, data):
     m = profile.m
     greedy, greedy_schedule = run_greedy(trace, caps, profile)
     greedy_o, greedy_schedule_o = oracle.run_entries(trace, caps, profile, None)
-    same_ledger(greedy, greedy_o)
+    same_ledger(trace, greedy, greedy_o)
     assert greedy_schedule == greedy_schedule_o
 
     schedule = diligent_schedule(data.draw, trace, caps, m)
     other = replay_schedule(trace, caps, profile, schedule)
     other_o, _ = oracle.run_entries(trace, caps, profile, schedule)
-    same_ledger(other, other_o)
+    same_ledger(trace, other, other_o)
     same_checks(trace, greedy, other, greedy_o, other_o)
     same_checks(trace, other, greedy, other_o, greedy_o)
 
@@ -98,7 +100,7 @@ def test_rows_match_entry_oracle(instance, data):
     got = outcome(lambda: replay_schedule(trace, caps, profile, broken))
     want = outcome(lambda: oracle.run_entries(trace, caps, profile, broken)[0])
     if isinstance(got, Ledger):
-        same_ledger(got, want)
+        same_ledger(trace, got, want)
     else:
         assert got == want
 
@@ -113,8 +115,7 @@ def test_rows_match_entry_oracle(instance, data):
 def rows_ledger(occupancy, accepted=None, transmitted=None):
     """A ledger holding the given rows (counters default to all zero)."""
     zeros = tuple(tuple(0 for _ in row) for row in occupancy)
-    n = len(occupancy[0]) - 1
-    return Ledger(accepted or zeros, transmitted or zeros, occupancy, (SEND,) * n, Fraction(0))
+    return Ledger(accepted or zeros, transmitted or zeros, occupancy, Fraction(0))
 
 
 class TestConservationFalsifiable:

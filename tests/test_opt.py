@@ -31,7 +31,6 @@ class TestOptSearch:
         result = opt_search(witness, caps, profile)
         assert result.benefit == 4
         assert result.schedule == Schedule((1, 2, 1))
-        assert result.states_explored > 0
 
     def test_zero_arrivals(self, two_class):
         profile, caps = two_class
@@ -107,7 +106,7 @@ class TestOptSearch:
                 result = opt_search(trace, caps, profile)
                 ledger = replay_schedule(trace, caps, profile, result.schedule)
                 greedy_ledger, _ = run_greedy(trace, caps, profile)
-                assert ledger.final.accepted[-1] == greedy_ledger.final.accepted[-1]
+                assert ledger.accepted[-1][-1] == greedy_ledger.accepted[-1][-1]
 
 
 class TestBruteforce:
@@ -150,9 +149,9 @@ class TestOptimalScheduleScan:
             best = opt_search(trace, caps, profile)
             greedy_ledger, _ = run_greedy(trace, caps, profile)
             returned = replay_schedule(trace, caps, profile, best.schedule)
-            assert returned.final.accepted[-1] == greedy_ledger.final.accepted[-1]
+            assert returned.accepted[-1][-1] == greedy_ledger.accepted[-1][-1]
             for _, ledger in replay_all(trace, caps, profile):
                 if ledger.benefit_transmitted == best.benefit:
-                    if ledger.final.accepted[-1] < greedy_ledger.final.accepted[-1]:
+                    if ledger.accepted[-1][-1] < greedy_ledger.accepted[-1][-1]:
                         findings += 1
         assert findings == 0

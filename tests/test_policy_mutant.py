@@ -6,18 +6,22 @@ patching it changes `run_greedy` (and through it `verify_all`) and
 serves the lowest nonempty class; each trace below turns named verdicts false
 under it, and the same patch makes `exhaustive_worst` report a ratio above the
 proven bound.  A second mutant makes `analysis._surplus` skip row h of
-greedy's tail sum, and a one-arrival trace turns three verdicts false.
+greedy's tail sum, and a one-arrival trace turns three verdicts false.  Two
+more turn the verdicts that no tier-1 trace makes false: `u_explicit` missing
+a candidate breaks `u_forms_agree`, and `check_aggregate_deficit` held to
+S_{h+2} breaks `aggregate_deficit_bound`.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, le, sub
 
 import pytest
 
+from conftest import last
 from mqsim import analysis, engine
 from mqsim.adversary import BoundFalsified, exhaustive_worst
-from mqsim.analysis import Verdict, verify_all
+from mqsim.analysis import Verdict, suffix_sums, u_candidates, verify_all
 from mqsim.model import QueueCapacities, SEND, append_drain, parse_trace, validate_profile
 
 
@@ -46,6 +50,10 @@ def verdicts(values, raw):
     text = "".join(f"A {t[1:]}\n" if t[0] == "A" else "S\n" for t in raw.split())
     trace = append_drain(parse_trace(text))
     return verify_all(trace, caps, profile).verdicts
+
+
+def false_lines(found):
+    return [line for line in map(Verdict.line, found.values()) if " false" in line]
 
 
 # raw trace (A<c> is an arrival of class c, S a send) -> lines that come back
@@ -90,8 +98,36 @@ def tail_skipping_row_h(greedy, opt, counter):
 def test_surplus_off_by_one_turns_verdicts_false(monkeypatch):
     monkeypatch.setattr(analysis, "_surplus", tail_skipping_row_h)
     found = verdicts((1, 2, 5), "A1")
-    assert [line for line in map(Verdict.line, found.values()) if " false" in line] == [
+    assert false_lines(found) == [
         "verdict transmit_surplus_nonneg false h=1 e=2",
         "verdict transmit_surplus_monotone_opt_empty false h=1 e=2",
         "verdict accept_surplus_nonneg false h=1 e=1",
     ]
+
+
+def u_missing_last_candidate(A):
+    """`u_explicit` without the last candidate of every h that has more than one."""
+    m, S = len(A), suffix_sums(A)
+    kept = (u_candidates(m, h)[:-1] or u_candidates(m, h) for h in range(1, m))
+    return tuple(min(sum(S[idx - 1] for idx in cand) for cand in cands) for cands in kept)
+
+
+def test_missing_u_candidate_breaks_u_forms_agree(monkeypatch):
+    monkeypatch.setattr(analysis, "u_explicit", u_missing_last_candidate)
+    assert false_lines(verdicts((1, 2, 5), "A3 A2 S")) == ["verdict u_forms_agree false"]
+
+
+def deficit_held_to_s_h_plus_2(greedy, opt):
+    """`check_aggregate_deficit` off by two: the tail deficit from h is held to
+    S_{h+2} (0 past m), not S_h."""
+    tail_a = suffix_sums(last(greedy.accepted))
+    tail_d = list(map(sub, suffix_sums(last(opt.accepted)), tail_a))
+    flags = list(map(le, tail_d, (*tail_a[2:], 0, 0)))
+    bad = None if all(flags) else flags.index(False) + 1
+    return Verdict("aggregate_deficit_bound", bad is None, bad)
+
+
+def test_aggregate_deficit_off_by_two_turns_false(monkeypatch):
+    monkeypatch.setattr(analysis, "check_aggregate_deficit", deficit_held_to_s_h_plus_2)
+    assert false_lines(verdicts((1, 2), "A1 A2 S A1")) == [
+        "verdict aggregate_deficit_bound false h=1"]
