@@ -9,13 +9,12 @@ schedule deterministic.  Whether the tie-break matters to `top_class_equal`
 is unverified: breaking ties toward the lowest class turned no verdict false
 on any trace tried.
 
-Each class has one arrival table and one send table (`arrive_to`,
-`send_to`), each pointing at the state itself when the move is impossible;
-the DP's gathers and the schedule extraction both read them.  Layers hold
-val[s] - phi[s], phi[s] = sum_c w_c q_c(s) being the weight that state s
-buffers, so each layer is C-level gathers with no Python code per state.
-The layers of a trace's trailing send run depend only on the state space
-and the run length; they are cached on the space and shared.
+A DP layer is one int of packed fields.  State s's field holds val[s] -
+phi[s] + P, where phi[s] = sum_c w_c q_c(s) is the weight s buffers and P
+that of the full state; no field is negative, and the width keeps each top
+bit clear.  An arrival is a shift, a mask select and an add; a send merges
+each class's shifted successor fields with an exact SWAR max.  Both are O(m)
+big-int operations.  Each width's constants and send tails are cached.
 
 `opt_bruteforce` is the independent oracle: plain recursion over every
 diligent choice, no shared state machinery, Fraction arithmetic throughout.
@@ -28,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
 from math import prod
-from operator import add, itemgetter, mul
+from operator import mul
 from typing import Iterator
 
 from .engine import Schedule, check_inputs
@@ -59,74 +58,86 @@ class _StateSpace:
     """
 
     def __init__(self, caps: tuple[int, ...], weights: tuple[int, ...]):
-        self.caps = caps
-        self.weights = weights
-        m = len(caps)
-        states = list(product(*(range(b + 1) for b in caps)))  # last class fastest
-        self.states = states
+        self.caps, self.weights = caps, weights
+        self.states = states = list(product(*(range(b + 1) for b in caps)))  # last class fastest
         self.size = len(states)
+        self.stride = stride = [prod(b + 1 for b in caps[c + 1 :]) for c in range(len(caps))]
+        # serve[s]: (state after the send, class) per nonempty class, highest first
+        self.serve = [[(s - stride[c], c + 1) for c in reversed(range(len(caps))) if q[c]]
+                      for s, q in enumerate(states)]
+        self.offset = sum(map(mul, weights, caps))  # P, the full state's phi
+        self._packings: dict[int, _Packed] = {}
 
-        stride = [0] * m
-        acc = 1
-        for c in range(m - 1, -1, -1):
-            stride[c] = acc
-            acc *= caps[c] + 1
+    def packing(self, n_events: int) -> _Packed:
+        # 0 <= val - phi + P <= P + (weight of the arrivals left): one bit more keeps
+        # each field's top bit clear for the SWAR max; whole bytes keep widths few
+        width = -(-((self.offset + n_events * max(self.weights)).bit_length() + 1) // 8) * 8
+        if width not in self._packings:
+            self._packings[width] = _Packed(self, width)
+        return self._packings[width]
 
-        # arrive_to[c][s] / send_to[c][s]: the state after a class-(c+1)
-        # arrival / send, or s itself when the move is impossible (full / empty)
-        self.arrive_to = [
-            [s + stride[c] if q[c] < caps[c] else s for s, q in enumerate(states)]
-            for c in range(m)
-        ]
-        self.send_to = [
-            [s - stride[c] if q[c] else s for s, q in enumerate(states)] for c in range(m)
-        ]
-        # per class: the arrival gather, and the weight it admits (0 when full)
-        self._arrive = [
-            (itemgetter(*to), [weights[c] if s2 != s else 0 for s, s2 in enumerate(to)])
-            for c, to in enumerate(self.arrive_to)
-        ]
-        # a self column never wins a send's max: val[s] <= w_d + val[s - e_d]
-        self._send = [itemgetter(*to) for to in self.send_to]
-        # _tail[r]: the layer before a final run of r sends.  After sum(caps)
-        # sends every state is empty, so longer runs repeat the last layer.
-        self._tail = [[-sum(map(mul, weights, q)) for q in states]]
-
-    def _send_layer(self, val: list[int]) -> list[int]:
-        # w_c + val[s - e_c] - phi[s] == (val - phi)[s - e_c]: a max of gathers
-        return list(map(max, *[gather(val) for gather in self._send]))
-
-    def layers(self, events: tuple[int, ...]) -> Iterator[list[int]]:
-        """The backward DP: yields val[i] - phi for i = n, n-1, ..., 0, where
-        val[i][s] is the max scaled benefit of events[i:] from state s.  The
-        layers of the trailing send run are shared; never mutate a layer."""
-        tail, send_layer, arrive = self._tail, self._send_layer, self._arrive
+    def layers(self, events: tuple[int, ...]) -> Iterator[int]:
+        """The backward DP: yields val[i] - phi + P, packed, for i = n, ..., 0,
+        where val[i][s] is the max scaled benefit of events[i:] from state s."""
+        packed = self.packing(len(events))
+        tail, send, arrive = packed.tail, packed.send, packed.arrive
         run = 0
         while run < len(events) and events[-1 - run] == SEND:
             run += 1
         top = min(run, sum(self.caps))
         while len(tail) <= top:
-            tail.append(send_layer(tail[-1]))
+            tail.append(send(tail[-1]))
         yield from tail[:top]
         val = tail[top]
         yield from repeat(val, run - top + 1)
         for ev in reversed(events[: len(events) - run]):
             if ev == SEND:
-                val = send_layer(val)
+                val = send(val)
             else:
-                gather, admitted = arrive[ev - 1]
-                val = list(map(add, gather(val), admitted))
+                shift, ok, adm = arrive[ev - 1]  # admitting s takes field s + e_c, + w_c
+                val = (val ^ ((val ^ (val >> shift)) & ok)) + adm
             yield val
 
     def best_scaled(self, events: tuple[int, ...]) -> int:
         """Max scaled benefit over all diligent schedules (phi[0] = 0)."""
         for val in self.layers(events):
             pass
-        return val[0]
+        return (val & self.packing(len(events)).field) - self.offset
 
-    def tables(self, events: tuple[int, ...]) -> list[list[int]]:
-        """Every DP layer, indexed by event position, for schedule extraction."""
+    def tables(self, events: tuple[int, ...]) -> list[int]:
+        """Every packed DP layer, indexed by event position, for extraction."""
         return list(self.layers(events))[::-1]
+
+
+class _Packed:
+    """One field width's constants, each packed over every state."""
+
+    def __init__(self, space: _StateSpace, width: int):
+        def pack(xs: list[int]) -> int:  # xs[s] in bits [s*W, (s+1)*W), in linear time
+            return int.from_bytes(b"".join(x.to_bytes(width >> 3, "little") for x in xs), "little")
+
+        states, self.width, self.field = space.states, width, (1 << width) - 1  # F
+        self.high = pack([1 << width - 1] * space.size)  # H
+        # per class: the arrival shift, the states that admit, the weight admitted
+        self.arrive = [
+            (k * width, pack([self.field * (q[c] < b) for q in states]),
+             pack([w * (q[c] < b) for q in states]))
+            for c, (k, b, w) in enumerate(zip(space.stride, space.caps, space.weights))
+        ]
+        # tail[r]: the layer before a final run of r sends.  After sum(caps)
+        # sends every state is empty, so longer runs repeat the last layer.
+        self.tail = [pack([space.offset - sum(map(mul, space.weights, q)) for q in states])]
+
+    def send(self, v: int) -> int:
+        """w_c + val[s - e_c] - phi[s] == (val - phi)[s - e_c]: class c's gather shifts
+        field s - e_c to s; an impossible move gathers 0, and state 0 idles."""
+        high, top, (shift, ok, _) = self.high, self.width - 1, self.arrive[0]
+        best = (v & ok) << shift
+        for shift, ok, _ in self.arrive[1:]:
+            a = (v & ok) << shift
+            t = ((a | high) - best) & high  # SWAR max: top bit set where a >= best
+            best ^= (a ^ best) & (t - (t >> top))
+        return best | (v & self.field)
 
 
 @lru_cache(maxsize=8)
@@ -170,6 +181,8 @@ def opt_search(
     space = _state_space(caps.caps, profile.weights, len(trace.events), state_cap)
     tables = space.tables(trace.events)
 
+    packed = space.packing(len(trace.events))
+    states, stride, width, field = space.states, space.stride, packed.width, packed.field
     choices: list[int | None] = []
     s = 0
     for i, ev in enumerate(trace.events):
@@ -177,16 +190,18 @@ def opt_search(
             if s == 0:
                 choices.append(None)
                 continue
-            nxt = tables[i + 1]
-            # w + val[s2] - phi[s] == nxt[s2]; benefit ties go to the highest class
-            _, cls, s = max(
-                (nxt[to[s]], c, to[s]) for c, to in enumerate(space.send_to, 1) if to[s] != s
-            )
+            # field s2 is w_c + val[s2] - phi[s] + P; on ties the strict > keeps the top class
+            nxt, best = tables[i + 1], -1
+            for s2, c in space.serve[s]:
+                u = nxt >> s2 * width & field
+                if u > best:
+                    best, cls, to = u, c, s2
+            s = to
             choices.append(cls)
-        else:
-            s = space.arrive_to[ev - 1][s]
+        elif states[s][ev - 1] < caps.caps[ev - 1]:
+            s += stride[ev - 1]
 
-    benefit = Fraction(tables[0][0], profile.scale)  # phi[0] = 0
+    benefit = Fraction((tables[0] & field) - space.offset, profile.scale)  # phi[0] = 0
     return OptResult(benefit=benefit, schedule=Schedule(tuple(choices)))
 
 
