@@ -4,6 +4,11 @@ Everything here is a mechanical check on concrete traces: per-event surplus
 potentials, end-of-trace deficit and tail-sum inequalities, the upper-bound
 family with its recursive and explicit forms, the weighted potential descent,
 and the competitive-ratio bound itself.  All comparisons are exact.
+
+`verify_all` pairs the ledgers once and derives A, A*, D, the tail sums S and
+S*, and both forms of U from S once per trace; the bound and the delta
+coefficients are cached per profile.  Checks read whole rows in C-level passes,
+and a failure's (h, e) is looked up only when the check fails.
 """
 
 from __future__ import annotations
@@ -11,15 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
-from operator import add, eq, itemgetter, le, lt, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, eq, itemgetter, le, lt, mul, not_, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .engine import Ledger, run_greedy, replay_schedule
 from .model import (
     MQSimError,
     QueueCapacities,
-    SEND,
     Trace,
     ValueProfile,
     compute_c,
@@ -97,8 +101,7 @@ def _check_paired(greedy: Ledger, opt: Ledger) -> None:
 
 def _first_false(flags: Iterable[bool]) -> int | None:
     """Index of the first false flag, or None when every flag holds."""
-    flags = list(flags)
-    return None if all(flags) else flags.index(False)
+    return next(compress(count(), map(not_, flags)), None)
 
 
 _last = itemgetter(-1)  # of a row: its end-of-trace count
@@ -107,8 +110,14 @@ _last = itemgetter(-1)  # of a row: its end-of-trace count
 _verdict = lru_cache(maxsize=1024)(Verdict)
 
 
+def _first_bad(name: str, flags: Iterable[bool]) -> Verdict:
+    """The verdict that every flag holds, else false at the first failing h = index + 1."""
+    bad = _first_false(flags)
+    return _verdict(name, bad is None, None if bad is None else bad + 1)
+
+
 def _surplus(greedy: Ledger, opt: Ledger, counter: str) -> Matrix:
-    _check_paired(greedy, opt)
+    """compute_xi / compute_phi on ledgers already paired."""
     g, o = getattr(greedy, counter), getattr(opt, counter)
     tail, rows = g[-1], []
     for h in range(len(g) - 1, 0, -1):  # tail = g_h + ... + g_m, one row per class
@@ -122,19 +131,21 @@ def _surplus(greedy: Ledger, opt: Ledger, counter: str) -> Matrix:
 def compute_xi(greedy: Ledger, opt: Ledger) -> Matrix:
     """Transmit surplus xi_h(e_i) = sum_{l>=h} delta_l(e_i) - delta*_h(e_i),
     one row per h in [1, m-1], one column per event including the null event."""
+    _check_paired(greedy, opt)
     return _surplus(greedy, opt, "transmitted")
 
 
 def compute_phi(greedy: Ledger, opt: Ledger) -> Matrix:
     """Accept surplus phi_h(e_i) = sum_{l>=h} A_l(e_i) - A*_h(e_i); same shape as xi."""
+    _check_paired(greedy, opt)
     return _surplus(greedy, opt, "accepted")
 
 
 def _matrix_nonneg(matrix: Matrix, name: str) -> Verdict:
-    for h, row in enumerate(matrix, 1):
-        if min(row, default=0) < 0:
-            return _verdict(name, False, h, _first_false(map(le, repeat(0), row)))
-    return _verdict(name, True)
+    if min(chain.from_iterable(matrix), default=0) >= 0:  # every cell in one pass
+        return _verdict(name, True)
+    h, row = next((h, row) for h, row in enumerate(matrix, 1) if min(row, default=0) < 0)
+    return _verdict(name, False, h, _first_false(map(le, repeat(0), row)))
 
 
 def check_xi_nonneg(xi: Matrix) -> Verdict:
@@ -146,13 +157,13 @@ def check_phi_nonneg(phi: Matrix) -> Verdict:
 
 
 def _check_conservation(ledger: Ledger, name: str) -> Verdict:
-    fails = []
-    for h, (a, t, q) in enumerate(zip(ledger.accepted, ledger.transmitted, ledger.occupancy), 1):
-        e = _first_false(map(eq, a, map(add, t, q)))
-        if e is not None:
-            fails.append((e, h))
-    e, h = min(fails, default=(None, None))  # the first failing event's lowest class
-    return _verdict(name, not fails, h, e)
+    acc, tx, occ = ledger.accepted, ledger.transmitted, ledger.occupancy
+    # one C-level pass per row, copying no row; a failure names its first event's lowest class
+    if all(map(all, map(map, repeat(eq), acc, map(map, repeat(add), tx, occ)))):
+        return _verdict(name, True)
+    e, h = min((e, h) for h, (a, t, q) in enumerate(zip(acc, tx, occ), 1)
+               if (e := _first_false(map(eq, a, map(add, t, q)))) is not None)
+    return _verdict(name, False, h, e)
 
 
 def check_surplus_monotonicity(
@@ -165,19 +176,17 @@ def check_surplus_monotonicity(
     just after s_{j-1} (checked for j >= 2), or (b) the optimal schedule's
     class-h queue was empty just after s_{j-1} (checked for j >= 1).
     """
-    events = trace.events
-    sends = [0, *compress(range(1, len(events) + 1), map(eq, events, repeat(SEND)))]
-    prev, cur = sends[:-1], sends[1:]
-    g_occ = greedy.occupancy
+    sends = [0, *compress(count(1), map(not_, trace.events))]  # SEND is the only falsy event
     backlogged = opt_empty = (None, None)  # (h, e) of each statement's first failure
-    for h, row in enumerate(xi, 1):
-        drops = map(lt, map(row.__getitem__, cur), map(row.__getitem__, prev))
-        for j in compress(range(len(cur)), drops):  # xi_h drops from s_j to s_{j+1}
-            p = prev[j]
+    at_sends, g_occ = itemgetter(*sends), greedy.occupancy
+    for h, row in enumerate(xi if len(sends) > 1 else (), 1):
+        xs = at_sends(row)  # xi_h after s_0, s_1, ...
+        for j in compress(count(), map(lt, xs[1:], xs)):  # xi_h drops from s_j to s_{j+1}
+            p = sends[j]
             if backlogged[0] is None and j and sum(map(itemgetter(p), g_occ[h - 1 :])) > 0:
-                backlogged = (h, cur[j])
+                backlogged = (h, sends[j + 1])
             if opt_empty[0] is None and opt.occupancy[h - 1][p] == 0:
-                opt_empty = (h, cur[j])
+                opt_empty = (h, sends[j + 1])
     return (_verdict("transmit_surplus_monotone_backlogged", backlogged[0] is None, *backlogged),
             _verdict("transmit_surplus_monotone_opt_empty", opt_empty[0] is None, *opt_empty))
 
@@ -186,10 +195,13 @@ def check_aggregate_deficit(greedy: Ledger, opt: Ledger) -> Verdict:
     """Aggregate acceptance bound: for every h,
     sum_{l>=h} (A*_l - A_l) <= sum_{l>=h} A_l at end of trace."""
     _check_paired(greedy, opt)
-    tail_a = suffix_sums(tuple(map(_last, greedy.accepted)))
-    tail_d = map(sub, suffix_sums(tuple(map(_last, opt.accepted))), tail_a)
-    bad = _first_false(map(le, tail_d, tail_a))
-    return _verdict("aggregate_deficit_bound", bad is None, None if bad is None else bad + 1)
+    return _aggregate_deficit(suffix_sums(tuple(map(_last, greedy.accepted))),
+                              suffix_sums(tuple(map(_last, opt.accepted))))
+
+
+def _aggregate_deficit(S: Sequence[int], S_star: Sequence[int]) -> Verdict:
+    """check_aggregate_deficit on the tail sums of A and A*: S*_h - S_h <= S_h."""
+    return _first_bad("aggregate_deficit_bound", map(le, map(sub, S_star, S), S))
 
 
 def suffix_sums(A: Sequence[int]) -> tuple[int, ...]:
@@ -197,36 +209,38 @@ def suffix_sums(A: Sequence[int]) -> tuple[int, ...]:
     return tuple(accumulate(reversed(A)))[::-1]
 
 
+def _require_len(name: str, vector: Sequence[int], n: int) -> None:
+    """A checker zips D with S or U, so a short vector would leave bounds unchecked."""
+    if len(vector) != n:
+        raise ValueError(f"{name} has {len(vector)} entries, expected {n}")
+
+
 def check_D_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
     """End-of-trace deficit bounds: D_h <= S_{h+1} for h in [1, m-1]."""
-    m = len(D)
-    for h in range(1, m):
-        if D[h - 1] > S[h]:
-            return _verdict("deficit_tail_bound", False, h)
-    return _verdict("deficit_tail_bound", True)
+    _require_len("S", S, len(D))
+    return _first_bad("deficit_tail_bound", map(le, D[:-1], S[1:]))
 
 
 def check_D_sum_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
     """End-of-trace deficit sum bounds: D_h + ... + D_{m-1} <= S_h for h in [1, m-2]."""
-    m = len(D)
-    for h in range(1, m - 1):
-        if sum(D[h - 1 : m - 1]) > S[h - 1]:
-            return _verdict("deficit_sum_bound", False, h)
-    return _verdict("deficit_sum_bound", True)
+    _require_len("S", S, len(D))
+    return _first_bad("deficit_sum_bound", map(le, suffix_sums(D[:-1])[:-1], S))
 
 
 def u_recursion(A: Sequence[int]) -> tuple[int, ...]:
     """The bound family by its recursion: U_{m-1} = A_m and
     U_h = min(A_h, U_{h+1}) + S_{h+1} going down to h = 1."""
-    m = len(A)
-    if m < 2:
-        raise MTooSmall(f"need m >= 2, got {m}")
-    S = suffix_sums(A)
-    U = [0] * (m - 1)
-    U[m - 2] = A[m - 1]
-    for h in range(m - 2, 0, -1):
-        U[h - 1] = min(A[h - 1], U[h]) + S[h]
-    return tuple(U)
+    if len(A) < 2:
+        raise MTooSmall(f"need m >= 2, got {len(A)}")
+    return _u_recursion(A, suffix_sums(A))
+
+
+def _u_recursion(A: Sequence[int], S: Sequence[int]) -> tuple[int, ...]:
+    """u_recursion on A and its tail sums S."""
+    U = [A[-1]]  # U_{m-1}, then U_h for h = m-2 down to 1
+    for h in range(len(A) - 2, 0, -1):
+        U.append(min(A[h - 1], U[-1]) + S[h])
+    return tuple(reversed(U))
 
 
 @lru_cache(maxsize=256)
@@ -250,23 +264,21 @@ def u_candidates(m: int, h: int) -> tuple[tuple[int, ...], ...]:
 
 def u_explicit(A: Sequence[int]) -> tuple[int, ...]:
     """The bound family by direct enumeration of its explicit candidates."""
-    m = len(A)
-    if m < 2:
-        raise MTooSmall(f"need m >= 2, got {m}")
-    S = suffix_sums(A)
-    return tuple(
-        min(sum(S[idx - 1] for idx in cand) for cand in u_candidates(m, h))
-        for h in range(1, m)
-    )
+    if len(A) < 2:
+        raise MTooSmall(f"need m >= 2, got {len(A)}")
+    return _u_explicit(suffix_sums(A))
+
+
+def _u_explicit(S: Sequence[int]) -> tuple[int, ...]:
+    """u_explicit on the tail sums S: per h, the least candidate sum."""
+    m, at = len(S), (0, *S).__getitem__  # u_candidates index S from 1
+    return tuple(min(map(sum, map(map, repeat(at), u_candidates(m, h)))) for h in range(1, m))
 
 
 def check_u_bounds(D: Sequence[int], U: Sequence[int]) -> Verdict:
     """D_h + ... + D_{m-1} <= U_h for every h in [1, m-1]."""
-    m = len(D)
-    for h in range(1, m):
-        if sum(D[h - 1 : m - 1]) > U[h - 1]:
-            return _verdict("u_bounds_hold", False, h)
-    return _verdict("u_bounds_hold", True)
+    _require_len("U", U, len(D) - 1)
+    return _first_bad("u_bounds_hold", map(le, suffix_sums(D[:-1]), U))
 
 
 class _Coefficients(NamedTuple):
@@ -360,8 +372,8 @@ def _delta_chain(
     every inequality multiplied through by q * scale, so all operands are ints."""
     m, w, p, q = profile.m, profile.weights, co.p, co.q
     name = "potential_chain"
-    weighted_D = sum(x * d for x, d in zip(w[: m - 1], D))
-    weighted_A = sum(x * a for x, a in zip(w, A))
+    weighted_D = sum(map(mul, w[: m - 1], D))
+    weighted_A = sum(map(mul, w, A))
 
     if m == 2:
         return _verdict(name, weighted_D <= w[0] * U[0] and q * w[0] * U[0] <= p * weighted_A)
@@ -370,7 +382,7 @@ def _delta_chain(
     for h in range(1, m - 2):
         if delta[h - 1] > p * w[h - 1] * A[h - 1] + delta[h]:
             return _verdict(name, False, h)
-    if delta[m - 3] > p * sum(x * a for x, a in zip(w[m - 3 :], A[m - 3 :])):
+    if delta[m - 3] > p * sum(map(mul, w[m - 3 :], A[m - 3 :])):
         return _verdict(name, False, m - 2)
     return _verdict(name, q * weighted_D <= p * weighted_A)
 
@@ -381,10 +393,18 @@ def check_ratio(o: Fraction, g: Fraction, bound: Fraction) -> tuple[Fraction, Ve
     When greedy earns nothing the ratio is reported as 1 and the verdict is
     o == 0 (vacuously true, since the optimum is then zero too).
     """
-    if g == 0:
-        return Fraction(1), _verdict("ratio_bound", o == 0)
-    ratio = o / g
-    return ratio, _verdict("ratio_bound", ratio <= bound)
+    if not g:
+        return Fraction(1), _verdict("ratio_bound", not o)
+    ratio = Fraction(o.numerator * g.denominator, o.denominator * g.numerator)  # o / g
+    return ratio, _verdict("ratio_bound", ratio.numerator * bound.denominator
+                           <= bound.numerator * ratio.denominator)
+
+
+@lru_cache(maxsize=64)
+def _profile_constants(profile: ValueProfile) -> tuple[Fraction, _Coefficients]:
+    """The bound 1 + c* and the delta coefficients at c*, per profile."""
+    report = compute_c(profile)
+    return report.upper, _coefficients(profile, report.c_star)
 
 
 def verify_all(
@@ -396,30 +416,26 @@ def verify_all(
     """Populate every derived quantity and every verdict for one drained trace."""
     if not trace.drained:
         raise ValueError("verify_all needs a drained trace; use append_drain first")
-    m = profile.m
     greedy_ledger, _ = run_greedy(trace, caps, profile)
     opt_result = opt_search(trace, caps, profile, state_cap=state_cap)
     opt_ledger = replay_schedule(trace, caps, profile, opt_result.schedule)
+    _check_paired(greedy_ledger, opt_ledger)
+    bound, co = _profile_constants(profile)
 
-    xi = compute_xi(greedy_ledger, opt_ledger)
-    phi = compute_phi(greedy_ledger, opt_ledger)
+    xi = _surplus(greedy_ledger, opt_ledger, "transmitted")
+    phi = _surplus(greedy_ledger, opt_ledger, "accepted")
     A = tuple(map(_last, greedy_ledger.accepted))
     Astar = tuple(map(_last, opt_ledger.accepted))
-    D = tuple(a_star - a for a_star, a in zip(Astar, A))
-    S = suffix_sums(A)
-    U = u_recursion(A)
-    U_explicit = u_explicit(A)
-    report = compute_c(profile)
-    co = _coefficients(profile, report.c_star)
+    D = tuple(map(sub, Astar, A))
+    S, S_star = suffix_sums(A), suffix_sums(Astar)
+    U = _u_recursion(A, S)
     delta = _delta(co, U, S)
 
     g = greedy_ledger.benefit_transmitted
     o = opt_ledger.benefit_transmitted
-    ratio, ratio_verdict = check_ratio(o, g, report.upper)
+    ratio, ratio_verdict = check_ratio(o, g, bound)
 
-    backlogged, opt_empty = check_surplus_monotonicity(
-        trace, greedy_ledger, opt_ledger, xi
-    )
+    backlogged, opt_empty = check_surplus_monotonicity(trace, greedy_ledger, opt_ledger, xi)
     verdicts = [
         _check_conservation(greedy_ledger, "conservation_greedy"),
         _check_conservation(opt_ledger, "conservation_opt"),
@@ -427,29 +443,21 @@ def verify_all(
         backlogged,
         opt_empty,
         check_phi_nonneg(phi),
-        check_aggregate_deficit(greedy_ledger, opt_ledger),
-        _verdict("top_class_equal", A[m - 1] == Astar[m - 1]),
+        _aggregate_deficit(S, S_star),
+        _verdict("top_class_equal", A[-1] == Astar[-1]),
         check_D_bounds(D, S),
         check_D_sum_bounds(D, S),
         check_u_bounds(D, U),
-        _verdict("u_forms_agree", U == U_explicit),
+        _verdict("u_forms_agree", U == _u_explicit(S)),
         co.signs,
         _delta_chain(profile, co, A, D, U, delta),
         ratio_verdict,
     ]
 
     return ComparativeReport(
-        m=m,
-        xi=xi,
-        phi=phi,
-        D=D,
-        S=S,
-        U=U,
+        m=profile.m, xi=xi, phi=phi, D=D, S=S, U=U,
         delta=tuple(Fraction(x, co.q * profile.scale) for x in delta),
-        greedy_benefit=g,
-        opt_benefit=o,
-        ratio=ratio,
-        bound=report.upper,
+        greedy_benefit=g, opt_benefit=o, ratio=ratio, bound=bound,
         verdicts={v.name: v for v in verdicts},
     )
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -105,7 +106,7 @@ class ValueProfile:
     def _hash(self) -> int:
         return hash(self.values)  # equal profiles have equal values, as __eq__ compares
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.values)
 
@@ -125,7 +126,7 @@ class ValueProfile:
 
     def benefit(self, counts: Sequence[int]) -> Fraction:
         """Exact value total of `counts[i]` packets of each class i+1."""
-        return Fraction(sum(w * c for w, c in zip(self.weights, counts)), self.scale)
+        return Fraction(sum(map(mul, self.weights, counts)), self.scale)
 
 
 def validate_profile(raw_values: Iterable[RationalLike]) -> ValueProfile:
@@ -146,7 +147,7 @@ class QueueCapacities:
             if not isinstance(b, int) or isinstance(b, bool) or b < 1:
                 raise BadCapacity(f"capacity {b!r} is not an integer >= 1")
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.caps)
 
@@ -159,14 +160,24 @@ class Trace:
     `drained` is true when every suffix contains at least as many sends as
     arrivals; that guarantees every diligent policy, under any capacities,
     ends with all queues empty (so accepted = transmitted per class).
+    `drained` and `max_class` are set on construction.
     """
 
     events: tuple[Event, ...]
 
     def __post_init__(self):
-        for ev in self.events:
-            if not isinstance(ev, int) or isinstance(ev, bool) or ev < 0:
-                raise TraceSyntaxError(0, f"bad event encoding {ev!r}")
+        events = self.events
+        if not (set(map(type, events)) <= {int} and min(events, default=0) >= 0):
+            for ev in events:  # the check above is in C; this loop finds the bad event
+                if not isinstance(ev, int) or isinstance(ev, bool) or ev < 0:
+                    raise TraceSyntaxError(0, f"bad event encoding {ev!r}")
+        balance = 0  # sends minus arrivals in the suffix read so far
+        for ev in reversed(events):
+            balance += 1 if ev == SEND else -1
+            if balance < 0:
+                break
+        object.__setattr__(self, "drained", balance >= 0)
+        object.__setattr__(self, "max_class", max(events, default=0))
 
     @property
     def arrivals(self) -> int:
@@ -175,19 +186,6 @@ class Trace:
     @property
     def sends(self) -> int:
         return self.events.count(SEND)
-
-    @cached_property
-    def drained(self) -> bool:
-        balance = 0
-        for ev in reversed(self.events):
-            balance += 1 if ev == SEND else -1
-            if balance < 0:
-                return False
-        return True
-
-    @cached_property
-    def max_class(self) -> int:
-        return max(self.events, default=0)  # SEND is 0, below every class
 
     def __len__(self) -> int:
         return len(self.events)
@@ -204,22 +202,22 @@ def append_drain(trace: Trace) -> Trace:
 def parse_trace(text: str) -> Trace:
     """Parse the line-based trace grammar.
 
-    One event per line: `A <class-index>` (1-based) or `S`.  `#` starts a
-    comment, blank lines are ignored.  Line numbers in errors are 1-based and
-    count every physical line.
+    One event per line: `A <class-index>` (1-based, ASCII decimal digits,
+    leading zeros allowed) or `S`.  `#` starts a comment, blank lines are
+    ignored.  Line numbers in errors are 1-based and count every physical line.
     """
     events: list[Event] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw_line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if tokens[0] == "S":
             if len(tokens) != 1:
                 raise TraceSyntaxError(lineno, f"send takes no argument: {raw_line!r}")
             events.append(SEND)
         elif tokens[0] == "A":
-            if len(tokens) != 2 or not tokens[1].lstrip("-").isdigit():
+            digits = tokens[-1].removeprefix("-")
+            if len(tokens) != 2 or not (digits.isascii() and digits.isdigit()):
                 raise TraceSyntaxError(lineno, f"expected 'A <class-index>': {raw_line!r}")
             cls = int(tokens[1])
             if cls < 1:

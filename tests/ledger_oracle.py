@@ -6,9 +6,12 @@ with the `Action` taken at it and greedy's rule written into its send branch;
 `engine.greedy_schedule`; `tsv` is the per-event dump that read those entries
 before `engine.ledger_to_tsv` read the rows;
 `surplus`, `check_conservation` and `check_surplus_monotonicity` are the
-checkers that walked those entries; `verify_all_entries` is `verify_all`
-assembled from them.  The differential tests assert that `mqsim.engine` and
-`mqsim.analysis` give the same values, errors and verdicts.
+checkers that walked those entries; `suffix_sums`, `u_recursion`, `u_explicit`,
+the end-of-trace checkers and `delta_chain` are the versions that recomputed
+their tail sums per call, before `verify_all` derived them once and checked
+whole rows; `verify_all_entries` is `verify_all` assembled from them.  The
+differential tests assert that `mqsim.engine` and `mqsim.analysis` give the
+same values, errors and verdicts.
 """
 
 from __future__ import annotations
@@ -17,22 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
+from typing import Sequence
 
 from mqsim.analysis import (
     ComparativeReport,
+    MTooSmall,
     Verdict,
     _coefficients,
+    _Coefficients,
     _delta,
-    _delta_chain,
-    check_D_bounds,
-    check_D_sum_bounds,
-    check_phi_nonneg,
-    check_ratio,
-    check_u_bounds,
-    check_xi_nonneg,
-    suffix_sums,
-    u_explicit,
-    u_recursion,
+    u_candidates,
 )
 from mqsim.engine import DiligenceViolation, Schedule, check_inputs
 from mqsim.model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile, compute_c
@@ -210,6 +207,93 @@ def check_aggregate_deficit(greedy: EntryLedger, opt: EntryLedger) -> Verdict:
     return Verdict("aggregate_deficit_bound", True)
 
 
+def matrix_nonneg(matrix, name: str) -> Verdict:
+    for h, row in enumerate(matrix, 1):
+        if min(row, default=0) < 0:
+            flags = [0 <= x for x in row]
+            return Verdict(name, False, h, flags.index(False))
+    return Verdict(name, True)
+
+
+def suffix_sums(A: Sequence[int]) -> tuple[int, ...]:
+    return tuple(accumulate(reversed(A)))[::-1]
+
+
+def check_D_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
+    m = len(D)
+    for h in range(1, m):
+        if D[h - 1] > S[h]:
+            return Verdict("deficit_tail_bound", False, h)
+    return Verdict("deficit_tail_bound", True)
+
+
+def check_D_sum_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
+    m = len(D)
+    for h in range(1, m - 1):
+        if sum(D[h - 1 : m - 1]) > S[h - 1]:
+            return Verdict("deficit_sum_bound", False, h)
+    return Verdict("deficit_sum_bound", True)
+
+
+def u_recursion(A: Sequence[int]) -> tuple[int, ...]:
+    m = len(A)
+    if m < 2:
+        raise MTooSmall(f"need m >= 2, got {m}")
+    S = suffix_sums(A)
+    U = [0] * (m - 1)
+    U[m - 2] = A[m - 1]
+    for h in range(m - 2, 0, -1):
+        U[h - 1] = min(A[h - 1], U[h]) + S[h]
+    return tuple(U)
+
+
+def u_explicit(A: Sequence[int]) -> tuple[int, ...]:
+    m = len(A)
+    if m < 2:
+        raise MTooSmall(f"need m >= 2, got {m}")
+    S = suffix_sums(A)
+    return tuple(
+        min(sum(S[idx - 1] for idx in cand) for cand in u_candidates(m, h))
+        for h in range(1, m)
+    )
+
+
+def check_u_bounds(D: Sequence[int], U: Sequence[int]) -> Verdict:
+    m = len(D)
+    for h in range(1, m):
+        if sum(D[h - 1 : m - 1]) > U[h - 1]:
+            return Verdict("u_bounds_hold", False, h)
+    return Verdict("u_bounds_hold", True)
+
+
+def delta_chain(
+    profile: ValueProfile, co: _Coefficients, A: Sequence[int], D: Sequence[int],
+    U: Sequence[int], delta: Sequence[int],
+) -> Verdict:
+    m, w, p, q = profile.m, profile.weights, co.p, co.q
+    name = "potential_chain"
+    weighted_D = sum(x * d for x, d in zip(w[: m - 1], D))
+    weighted_A = sum(x * a for x, a in zip(w, A))
+
+    if m == 2:
+        return Verdict(name, weighted_D <= w[0] * U[0] and q * w[0] * U[0] <= p * weighted_A)
+    if not co.signs.ok or q * weighted_D > delta[0]:
+        return Verdict(name, False)
+    for h in range(1, m - 2):
+        if delta[h - 1] > p * w[h - 1] * A[h - 1] + delta[h]:
+            return Verdict(name, False, h)
+    if delta[m - 3] > p * sum(x * a for x, a in zip(w[m - 3 :], A[m - 3 :])):
+        return Verdict(name, False, m - 2)
+    return Verdict(name, q * weighted_D <= p * weighted_A)
+
+
+def check_ratio(o: Fraction, g: Fraction, bound: Fraction) -> tuple[Fraction, Verdict]:
+    if g == 0:
+        return Fraction(1), Verdict("ratio_bound", o == 0)
+    ratio = o / g
+    return ratio, Verdict("ratio_bound", ratio <= bound)
+
+
 def verify_all_entries(
     trace: Trace, caps: QueueCapacities, profile: ValueProfile
 ) -> ComparativeReport:
@@ -235,10 +319,10 @@ def verify_all_entries(
     verdicts = [
         check_conservation(greedy_ledger, "conservation_greedy"),
         check_conservation(opt_ledger, "conservation_opt"),
-        check_xi_nonneg(xi),
+        matrix_nonneg(xi, "transmit_surplus_nonneg"),
         backlogged,
         opt_empty,
-        check_phi_nonneg(phi),
+        matrix_nonneg(phi, "accept_surplus_nonneg"),
         check_aggregate_deficit(greedy_ledger, opt_ledger),
         Verdict("top_class_equal", A[m - 1] == Astar[m - 1]),
         check_D_bounds(D, S),
@@ -246,7 +330,7 @@ def verify_all_entries(
         check_u_bounds(D, U),
         Verdict("u_forms_agree", U == u_explicit(A)),
         co.signs,
-        _delta_chain(profile, co, A, D, U, delta),
+        delta_chain(profile, co, A, D, U, delta),
         ratio_verdict,
     ]
     return ComparativeReport(

@@ -184,6 +184,12 @@ class TestDBounds:
         assert check_D_bounds((0, 0), (0, 0)).ok
         assert not check_D_sum_bounds((3, 2, 0), (1, 2, 0)).ok
 
+    def test_short_s_rejected(self):
+        # a short S used to leave the bounds past its end unchecked
+        for checker in (check_D_bounds, check_D_sum_bounds):
+            with pytest.raises(ValueError, match="S has 1 entries, expected 3"):
+                checker((5, 0, 0), (5,))
+
 
 class TestUBounds:
     def test_recursion_m3(self):
@@ -220,6 +226,10 @@ class TestUBounds:
     def test_u_bound_checker(self):
         assert check_u_bounds((0, 0, 0), (0, 0)).ok
         assert not check_u_bounds((2, 1, 0), (2, 0)).ok
+
+    def test_u_bound_checker_short_u_rejected(self):
+        with pytest.raises(ValueError, match="U has 1 entries, expected 2"):
+            check_u_bounds((0, 5, 0), (0,))
 
 
 class TestDelta:

@@ -8,7 +8,7 @@ lacks metrics that `BENCHMARK.json` lists.  This happens, for example, when
 a caller stops importing a function it used to call.  These tests read the
 two lists at run time, so they follow any change the benchmark makes to them.
 A seam that resolves but is no longer called loses its metric just as
-silently, so the last test counts the calls of a small traced run.
+silently, so the last two tests count the calls of small traced runs.
 """
 
 from __future__ import annotations
@@ -78,3 +78,24 @@ def test_engine_seams_are_called_once_per_caller_call(capsys):
     assert calls["analysis.verify_all"] == len(batch)
     assert calls["engine.run_greedy"] + calls["engine.replay_schedule"] == 2 * len(batch)
     assert calls["engine.greedy_transmit_counts"] == calls["adversary._evaluate"] == evaluated > 0
+
+
+def test_one_dp_per_verify():
+    """`opt.dp_cells` is modelled as one backward table per `verify_all` call:
+    each verify runs `opt_search` once, and it builds its tables once."""
+    rng = random.Random(11)
+    profile, caps = validate_profile((1, 3, 4, 10)), QueueCapacities((2, 1, 2, 1))
+    traces = [append_drain(Trace(tuple(rng.choice((SEND, 1, 2, 3, 4))
+                                       for _ in range(rng.randint(0, 10)))))
+              for _ in range(12)]
+    rec = spans.Recorder()
+    saved = rec.install(sys.modules)
+    try:
+        for trace in traces:
+            mqsim.verify_all(trace, caps, profile)
+    finally:
+        spans.Recorder.restore(saved)
+    calls = {name: count for name, (count, _) in rec.totals().items()}
+    assert calls["analysis.verify_all"] == len(traces)
+    assert calls["opt.opt_search"] == calls["opt.tables"] == len(traces)
+    assert rec.dp_cells == sum(3 * 2 * 3 * 2 * len(t.events) for t in traces)

@@ -124,6 +124,16 @@ class TestVerify:
              "--trace", str(path)], capsys)
         assert code == 0
 
+    def test_non_ascii_digit_exit_2_with_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.trace"
+        path.write_text("A \u00b2\n", encoding="utf-8")
+        code, out, err = run(
+            ["verify", "--values", "1", "2", "--caps", "1", "1",
+             "--trace", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1:")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(
             ["verify", "--values", "1", "2", "--caps", "1", "1",

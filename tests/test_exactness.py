@@ -27,7 +27,6 @@ ALLOWED = Counter({
     ("opt.py", "<module>", "math import prod"): 1,
     # Fraction / Fraction
     ("model.py", "compute_c", "true division"): 2,
-    ("analysis.py", "check_ratio", "true division"): 1,
 })
 
 

@@ -6,7 +6,10 @@ replays greedy, random diligent schedules and broken schedules through both
 paths and compares every row (the entries transposed), every dumped action,
 error and verdict; on drained traces it compares whole `verify_all` reports.
 The falsifiability tests build ledgers straight from rows, so that each
-conservation and monotonicity verdict comes back false at a known (h, e).
+conservation, monotonicity and aggregate-deficit verdict comes back false at a
+known (h, e).  The aggregate bound holds on every pair of diligent ledgers
+tried, so only a hand-built ledger shows that `verify_all` and
+`check_aggregate_deficit` read the optimum's tail sums, not greedy's twice.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import ledger_oracle as oracle
 from conftest import instances
+from mqsim import analysis
 from mqsim.analysis import (
     _check_conservation,
     check_aggregate_deficit,
@@ -27,7 +31,7 @@ from mqsim.analysis import (
     verify_all,
 )
 from mqsim.engine import Ledger, Schedule, ledger_to_tsv, replay_schedule, run_greedy
-from mqsim.model import MQSimError, SEND, Trace
+from mqsim.model import MQSimError, QueueCapacities, SEND, Trace, validate_profile
 
 
 def diligent_schedule(draw, trace, caps, m):
@@ -176,3 +180,23 @@ class TestMonotonicityFalsifiable:
         backlogged, opt_empty = self.verdicts(xi, greedy_occ, self.NONE)
         assert backlogged.ok
         assert (opt_empty.ok, opt_empty.h, opt_empty.event) == (False, 1, 1)
+
+
+class TestAggregateDeficitFalsifiable:
+    # a greedy ledger that accepted nothing against one that accepted a class-1
+    # packet: S = (0, 0) and S* = (1, 0), so S*_1 - S_1 <= S_1 fails at h=1
+    NOTHING = ((0, 0, 0), (0, 0, 0))
+    ONE = ((0, 1, 1), (0, 0, 0))
+    LINE = "verdict aggregate_deficit_bound false h=1"
+
+    def test_checker_reads_both_ledgers(self):
+        greedy = rows_ledger(self.NOTHING)
+        opt = rows_ledger(self.NOTHING, accepted=self.ONE, transmitted=((0, 0, 1), (0, 0, 0)))
+        assert check_aggregate_deficit(greedy, opt).line() == self.LINE
+
+    def test_verify_all_reads_both_ledgers(self, monkeypatch):
+        idle = rows_ledger(self.NOTHING)
+        monkeypatch.setattr(analysis, "run_greedy", lambda *args: (idle, None))
+        profile, caps = validate_profile((1, 2)), QueueCapacities((1, 1))
+        report = verify_all(Trace((1, SEND)), caps, profile)
+        assert report.verdicts["aggregate_deficit_bound"].line() == self.LINE

@@ -160,6 +160,22 @@ class TestParseTrace:
             with pytest.raises(TraceSyntaxError):
                 parse_trace(text)
 
+    def test_superscript_digit_is_a_syntax_error_with_its_line(self):
+        # "²".isdigit() is true but int("²") fails: the line must still be named
+        with pytest.raises(TraceSyntaxError) as exc:
+            parse_trace("S\nA \u00b2\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: expected 'A <class-index>': 'A \u00b2'"
+
+    def test_non_ascii_decimal_digit_is_rejected(self):
+        # ARABIC-INDIC DIGIT THREE: int() reads it as 3, the grammar does not
+        with pytest.raises(TraceSyntaxError) as exc:
+            parse_trace("A \u0663\n")
+        assert exc.value.line == 1
+
+    def test_leading_zero_class_index(self):
+        assert parse_trace("A 03\nS\n").events == (3, SEND)
+
     def test_line_numbers_count_all_lines(self):
         with pytest.raises(TraceSyntaxError) as exc:
             parse_trace("# header\n\nA 1\nbogus\n")
