@@ -17,7 +17,7 @@ from multiprocessing import get_context
 from operator import mul
 from typing import Iterable
 
-from .engine import check_dims, greedy_transmit_counts
+from .engine import check_at_least, check_dims, greedy_transmit_counts
 from .model import (
     MQSimError,
     QueueCapacities,
@@ -178,6 +178,8 @@ def exhaustive_worst(
     `state_cap` the DP cells of the longest candidate.
     """
     check_dims(caps, profile)
+    check_at_least("max_len", max_len, 0)
+    check_at_least("jobs", jobs, 1)
     m = profile.m
     total = sum((m + 1) ** length for length in range(max_len + 1))
     if total > budget:
@@ -235,6 +237,8 @@ def random_worst(
     events.  Identical seed and parameters give an identical result.
     `state_cap` caps the DP cells of the longest possible drained string."""
     check_dims(caps, profile)
+    check_at_least("length", length, 0)
+    check_at_least("samples", samples, 0)
     rng = random.Random(seed)
     space = _state_space(caps.caps, profile.weights, 2 * length, state_cap)
     bound = compute_c(profile).upper

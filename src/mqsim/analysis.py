@@ -5,10 +5,10 @@ potentials, end-of-trace deficit and tail-sum inequalities, the upper-bound
 family with its recursive and explicit forms, the weighted potential descent,
 and the competitive-ratio bound itself.  All comparisons are exact.
 
-`verify_all` pairs the ledgers once and derives A, A*, D, the tail sums S and
-S*, and both forms of U from S once per trace; the bound and the delta
-coefficients are cached per profile.  Checks read whole rows in C-level passes,
-and a failure's (h, e) is looked up only when the check fails.
+`verify_all` calls the public checkers, one function per verdict; end-of-trace
+checkers take end-of-trace vectors (A, D, the tail sums S and S*, U).  The bound
+and the delta coefficients are cached per profile.  Checks read whole rows in
+C-level passes, and a failure's (h, e) is looked up only when the check fails.
 """
 
 from __future__ import annotations
@@ -191,19 +191,6 @@ def check_surplus_monotonicity(
             _verdict("transmit_surplus_monotone_opt_empty", opt_empty[0] is None, *opt_empty))
 
 
-def check_aggregate_deficit(greedy: Ledger, opt: Ledger) -> Verdict:
-    """Aggregate acceptance bound: for every h,
-    sum_{l>=h} (A*_l - A_l) <= sum_{l>=h} A_l at end of trace."""
-    _check_paired(greedy, opt)
-    return _aggregate_deficit(suffix_sums(tuple(map(_last, greedy.accepted))),
-                              suffix_sums(tuple(map(_last, opt.accepted))))
-
-
-def _aggregate_deficit(S: Sequence[int], S_star: Sequence[int]) -> Verdict:
-    """check_aggregate_deficit on the tail sums of A and A*: S*_h - S_h <= S_h."""
-    return _first_bad("aggregate_deficit_bound", map(le, map(sub, S_star, S), S))
-
-
 def suffix_sums(A: Sequence[int]) -> tuple[int, ...]:
     """Tail sums S_h = A_h + ... + A_m for h in [1, m]."""
     return tuple(accumulate(reversed(A)))[::-1]
@@ -213,6 +200,13 @@ def _require_len(name: str, vector: Sequence[int], n: int) -> None:
     """A checker zips D with S or U, so a short vector would leave bounds unchecked."""
     if len(vector) != n:
         raise ValueError(f"{name} has {len(vector)} entries, expected {n}")
+
+
+def check_aggregate_deficit(S: Sequence[int], S_star: Sequence[int]) -> Verdict:
+    """Aggregate acceptance bound on the tail sums S of A and S* of A*: for every h,
+    sum_{l>=h} (A*_l - A_l) = S*_h - S_h <= S_h at end of trace."""
+    _require_len("S*", S_star, len(S))
+    return _first_bad("aggregate_deficit_bound", map(le, map(sub, S_star, S), S))
 
 
 def check_D_bounds(D: Sequence[int], S: Sequence[int]) -> Verdict:
@@ -232,12 +226,7 @@ def u_recursion(A: Sequence[int]) -> tuple[int, ...]:
     U_h = min(A_h, U_{h+1}) + S_{h+1} going down to h = 1."""
     if len(A) < 2:
         raise MTooSmall(f"need m >= 2, got {len(A)}")
-    return _u_recursion(A, suffix_sums(A))
-
-
-def _u_recursion(A: Sequence[int], S: Sequence[int]) -> tuple[int, ...]:
-    """u_recursion on A and its tail sums S."""
-    U = [A[-1]]  # U_{m-1}, then U_h for h = m-2 down to 1
+    S, U = suffix_sums(A), [A[-1]]  # U_{m-1}, then U_h for h = m-2 down to 1
     for h in range(len(A) - 2, 0, -1):
         U.append(min(A[h - 1], U[-1]) + S[h])
     return tuple(reversed(U))
@@ -266,12 +255,7 @@ def u_explicit(A: Sequence[int]) -> tuple[int, ...]:
     """The bound family by direct enumeration of its explicit candidates."""
     if len(A) < 2:
         raise MTooSmall(f"need m >= 2, got {len(A)}")
-    return _u_explicit(suffix_sums(A))
-
-
-def _u_explicit(S: Sequence[int]) -> tuple[int, ...]:
-    """u_explicit on the tail sums S: per h, the least candidate sum."""
-    m, at = len(S), (0, *S).__getitem__  # u_candidates index S from 1
+    m, at = len(A), (0, *suffix_sums(A)).__getitem__  # u_candidates index S from 1
     return tuple(min(map(sum, map(map, repeat(at), u_candidates(m, h)))) for h in range(1, m))
 
 
@@ -359,7 +343,7 @@ def check_delta_chain(
     For m = 2 the potentials are undefined and the degenerate route
     v_1 D_1 <= v_1 U_1 = v_1 A_2 <= c* (v_1 A_1 + v_2 A_2) is checked instead.
     """
-    co = _coefficients(profile, compute_c(profile).c_star)
+    co = _profile_constants(profile)[1]
     U = u_recursion(A)
     return _delta_chain(profile, co, A, D, U, _delta(co, U, suffix_sums(A)))
 
@@ -369,7 +353,10 @@ def _delta_chain(
     U: Sequence[int], delta: Sequence[int],
 ) -> Verdict:
     """check_delta_chain on precomputed U and scaled Delta (from _delta), with
-    every inequality multiplied through by q * scale, so all operands are ints."""
+    every inequality multiplied through by q * scale, so all operands are ints.
+
+    The one private core of a verdict: `verify_all` reports the same scaled
+    deltas that it checks here, and a test injects perturbed deltas."""
     m, w, p, q = profile.m, profile.weights, co.p, co.q
     name = "potential_chain"
     weighted_D = sum(map(mul, w[: m - 1], D))
@@ -419,20 +406,18 @@ def verify_all(
     greedy_ledger, _ = run_greedy(trace, caps, profile)
     opt_result = opt_search(trace, caps, profile, state_cap=state_cap)
     opt_ledger = replay_schedule(trace, caps, profile, opt_result.schedule)
-    _check_paired(greedy_ledger, opt_ledger)
+    g, o = greedy_ledger.benefit_transmitted, opt_ledger.benefit_transmitted
+    if o != opt_result.benefit:  # the extracted schedule must earn the DP's optimum
+        raise LedgerMismatch(f"optimal schedule earns {o}, not {opt_result.benefit}")
     bound, co = _profile_constants(profile)
 
-    xi = _surplus(greedy_ledger, opt_ledger, "transmitted")
-    phi = _surplus(greedy_ledger, opt_ledger, "accepted")
+    xi, phi = compute_xi(greedy_ledger, opt_ledger), compute_phi(greedy_ledger, opt_ledger)
     A = tuple(map(_last, greedy_ledger.accepted))
     Astar = tuple(map(_last, opt_ledger.accepted))
     D = tuple(map(sub, Astar, A))
-    S, S_star = suffix_sums(A), suffix_sums(Astar)
-    U = _u_recursion(A, S)
+    S, U = suffix_sums(A), u_recursion(A)
     delta = _delta(co, U, S)
 
-    g = greedy_ledger.benefit_transmitted
-    o = opt_ledger.benefit_transmitted
     ratio, ratio_verdict = check_ratio(o, g, bound)
 
     backlogged, opt_empty = check_surplus_monotonicity(trace, greedy_ledger, opt_ledger, xi)
@@ -443,12 +428,12 @@ def verify_all(
         backlogged,
         opt_empty,
         check_phi_nonneg(phi),
-        _aggregate_deficit(S, S_star),
+        check_aggregate_deficit(S, suffix_sums(Astar)),
         _verdict("top_class_equal", A[-1] == Astar[-1]),
         check_D_bounds(D, S),
         check_D_sum_bounds(D, S),
         check_u_bounds(D, U),
-        _verdict("u_forms_agree", U == _u_explicit(S)),
+        _verdict("u_forms_agree", U == u_explicit(A)),
         co.signs,
         _delta_chain(profile, co, A, D, U, delta),
         ratio_verdict,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .adversary import BoundFalsified, BudgetExceeded, exhaustive_worst, random_worst
 from .analysis import check_ratio, verify_all
-from .engine import run_greedy
+from .engine import check_at_least, run_greedy
 from .model import (
     MQSimError,
     QueueCapacities,
@@ -160,8 +160,8 @@ def cmd_search(args) -> int:
     profile, caps = _load_profile_caps(args)
     for flag, value, least in (("--max-len", args.max_len, 0),
                                ("--samples", args.samples, 0), ("--jobs", args.jobs, 1)):
-        if value is not None and value < least:
-            raise MQSimError(f"{flag} must be >= {least}, got {value}")
+        if value is not None:
+            check_at_least(flag, value, least)
     if args.samples is not None:
         if args.seed is None:
             raise MQSimError("random mode needs --seed")

@@ -62,6 +62,12 @@ def check_dims(caps: QueueCapacities, profile: ValueProfile) -> None:
         raise MQSimError(f"{caps.m} capacities given for {profile.m} classes")
 
 
+def check_at_least(name: str, value: int, least: int) -> None:
+    """Reject a size or count below `least`, naming the parameter (or CLI flag)."""
+    if value < least:
+        raise MQSimError(f"{name} must be >= {least}, got {value}")
+
+
 def check_inputs(trace: Trace, caps: QueueCapacities, profile: ValueProfile) -> None:
     """Reject mismatched dimensions or arrival classes outside the profile."""
     check_dims(caps, profile)

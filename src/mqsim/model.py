@@ -310,8 +310,8 @@ def parse_config(text: str) -> tuple[ValueProfile, QueueCapacities]:
         values: <rational> <rational> ...
         capacities: <int> <int> ...
 
-    Rationals are `p` or `p/q`.  Both lists are required and must have equal
-    length.  `#` comments and blank lines are allowed.
+    Rationals are `p` or `p/q`.  Each key appears exactly once and both lists
+    must have equal length.  `#` comments and blank lines are allowed.
     """
     values: tuple[Fraction, ...] | None = None
     caps: tuple[int, ...] | None = None
@@ -324,6 +324,8 @@ def parse_config(text: str) -> tuple[ValueProfile, QueueCapacities]:
             raise ConfigError(f"line {lineno}: expected 'key: ...', got {raw_line!r}")
         key = key.strip()
         tokens = rest.split()
+        if (key == "values" and values is not None) or (key == "capacities" and caps is not None):
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
         if key == "values":
             try:
                 values = tuple(_parse_rational_text(t, where="value") for t in tokens)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from mqsim.analysis import suffix_sums
 from mqsim.engine import Schedule, replay_schedule
 from mqsim.model import (
     QueueCapacities,
@@ -36,6 +37,11 @@ def witness() -> Trace:
 def last(rows) -> tuple[int, ...]:
     """Each class's end-of-trace count in one counter's ledger rows."""
     return tuple(row[-1] for row in rows)
+
+
+def tail_sums(ledger) -> tuple[int, ...]:
+    """The end-of-trace acceptance tail sums S_h = A_h + ... + A_m of a ledger."""
+    return suffix_sums(last(ledger.accepted))
 
 
 def columns(ledger) -> list[tuple[tuple[int, ...], ...]]:

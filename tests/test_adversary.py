@@ -41,6 +41,31 @@ class TestDimensions:
         assert exc.type is MQSimError
 
 
+class TestSizes:
+    # a size the search cannot use is refused by name, before the budget or
+    # the state-space guard (which budget=1 and state_cap=1 would trip) runs
+    @pytest.mark.parametrize("max_len, jobs, message", [
+        (-3, 1, "max_len must be >= 0, got -3"),
+        (4, 0, "jobs must be >= 1, got 0"),
+        (4, -4, "jobs must be >= 1, got -4"),
+    ])
+    def test_exhaustive_rejects(self, two_class, max_len, jobs, message):
+        profile, caps = two_class
+        with pytest.raises(MQSimError, match=f"^{message}$") as exc:
+            exhaustive_worst(profile, caps, max_len, budget=1, jobs=jobs, state_cap=1)
+        assert exc.type is MQSimError
+
+    @pytest.mark.parametrize("length, samples, message", [
+        (-2, 5, "length must be >= 0, got -2"),
+        (6, -5, "samples must be >= 0, got -5"),
+    ])
+    def test_random_rejects(self, two_class, length, samples, message):
+        profile, caps = two_class
+        with pytest.raises(MQSimError, match=f"^{message}$") as exc:
+            random_worst(profile, caps, length, samples, 1, state_cap=1)
+        assert exc.type is MQSimError
+
+
 class TestExhaustive:
     def test_finds_witness_ratio(self, two_class):
         profile, caps = two_class

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import last
+from conftest import last, tail_sums
 from mqsim.analysis import (
     LedgerMismatch,
     MTooSmall,
@@ -143,7 +143,8 @@ class TestPhi:
 class TestAggregateDeficit:
     def test_empty_trace(self, two_class):
         profile, caps = two_class
-        assert check_aggregate_deficit(*ledger_pair(Trace(()), caps, profile)).ok
+        greedy_ledger, opt_ledger = ledger_pair(Trace(()), caps, profile)
+        assert check_aggregate_deficit(tail_sums(greedy_ledger), tail_sums(opt_ledger)).ok
 
     def test_witness_values(self, two_class, witness):
         # A = (1,1), A* = (2,1): h=1 gives (2+1)-(1+1) = 1 <= 2.
@@ -151,7 +152,7 @@ class TestAggregateDeficit:
         greedy_ledger, opt_ledger = ledger_pair(witness, caps, profile)
         assert last(greedy_ledger.accepted) == (1, 1)
         assert last(opt_ledger.accepted) == (2, 1)
-        assert check_aggregate_deficit(greedy_ledger, opt_ledger).ok
+        assert check_aggregate_deficit(tail_sums(greedy_ledger), tail_sums(opt_ledger)).ok
 
     def test_top_class_case_is_equality(self, two_class, witness):
         # At h = m the bound reduces to A*_m - A_m <= A_m; the deficit is 0.
@@ -189,6 +190,10 @@ class TestDBounds:
         for checker in (check_D_bounds, check_D_sum_bounds):
             with pytest.raises(ValueError, match="S has 1 entries, expected 3"):
                 checker((5, 0, 0), (5,))
+
+    def test_short_s_star_rejected(self):
+        with pytest.raises(ValueError, match="S\\* has 1 entries, expected 2"):
+            check_aggregate_deficit((2, 1), (3,))
 
 
 class TestUBounds:

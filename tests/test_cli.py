@@ -97,6 +97,15 @@ class TestVerify:
         assert code == 0
         assert "verdict ratio_bound true" in out
 
+    def test_config_repeated_key_exit_2(self, witness_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("values: 1 2\nvalues: 1 3 4\ncapacities: 1 1 1\n")
+        code, out, err = run(
+            ["verify", "--config", str(cfg), "--trace", witness_file], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: repeated key 'values'\n"
+
     def test_false_verdict_exit_1(self, witness_file, capsys, monkeypatch):
         # Test-only hook: corrupt one verdict to exercise the failure path.
         real = cli.verify_all

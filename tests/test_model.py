@@ -280,6 +280,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("sizes: 1 2\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("values: 1 2\nvalues: 1 3 4\ncapacities: 1 1 1\n", "line 2: repeated key 'values'"),
+        ("capacities: 1 1\nvalues: 1 2\n# again\ncapacities: 2 2\n",
+         "line 4: repeated key 'capacities'"),
+    ])
+    def test_repeated_key(self, text, line):
+        with pytest.raises(ConfigError, match=f"^{line}$"):
+            parse_config(text)
+
     def test_invalid_profile_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("values: 2 1\ncapacities: 1 1\n")

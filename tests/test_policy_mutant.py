@@ -7,11 +7,10 @@ serves the lowest nonempty class; each trace below turns named verdicts false
 under it, and the same patch makes `exhaustive_worst` report a ratio above the
 proven bound.  A second mutant makes `analysis._surplus` skip row h of
 greedy's tail sum, and a one-arrival trace turns three verdicts false.  Two
-more turn the verdicts that no tier-1 trace makes false: `_u_explicit` (the
-explicit bound family on S that `verify_all` and `u_explicit` call) missing a
-candidate breaks `u_forms_agree`, and `_aggregate_deficit` (the core of
-`check_aggregate_deficit` on both tail-sum vectors) held to S_{h+2} breaks
-`aggregate_deficit_bound`.
+more turn the verdicts that no tier-1 trace makes false: `u_explicit` missing
+a candidate breaks `u_forms_agree`, and `check_aggregate_deficit` held to
+S_{h+2} breaks `aggregate_deficit_bound`.  A last mutant of `opt_search` keeps
+the optimum's value but returns a worse schedule, and `verify_all` refuses it.
 """
 
 from __future__ import annotations
@@ -20,10 +19,12 @@ from operator import add, le, sub
 
 import pytest
 
-from mqsim import analysis, engine
+from mqsim import analysis, cli, engine
 from mqsim.adversary import BoundFalsified, exhaustive_worst
-from mqsim.analysis import Verdict, u_candidates, verify_all
+from mqsim.analysis import LedgerMismatch, Verdict, suffix_sums, u_candidates, verify_all
+from mqsim.engine import Schedule
 from mqsim.model import QueueCapacities, SEND, append_drain, parse_trace, validate_profile
+from mqsim.opt import OptResult, opt_search as real_opt_search
 
 
 def lowest_class_first(events, caps, m):
@@ -106,20 +107,20 @@ def test_surplus_off_by_one_turns_verdicts_false(monkeypatch):
     ]
 
 
-def u_missing_last_candidate(S):
-    """`_u_explicit` without the last candidate of every h that has more than one."""
-    m = len(S)
+def u_missing_last_candidate(A):
+    """`u_explicit` without the last candidate of every h that has more than one."""
+    m, S = len(A), suffix_sums(A)
     kept = (u_candidates(m, h)[:-1] or u_candidates(m, h) for h in range(1, m))
     return tuple(min(sum(S[idx - 1] for idx in cand) for cand in cands) for cands in kept)
 
 
 def test_missing_u_candidate_breaks_u_forms_agree(monkeypatch):
-    monkeypatch.setattr(analysis, "_u_explicit", u_missing_last_candidate)
+    monkeypatch.setattr(analysis, "u_explicit", u_missing_last_candidate)
     assert false_lines(verdicts((1, 2, 5), "A3 A2 S")) == ["verdict u_forms_agree false"]
 
 
 def deficit_held_to_s_h_plus_2(tail_a, tail_a_star):
-    """`_aggregate_deficit` off by two: the tail deficit from h is held to
+    """`check_aggregate_deficit` off by two: the tail deficit from h is held to
     S_{h+2} (0 past m), not S_h."""
     tail_d = list(map(sub, tail_a_star, tail_a))
     flags = list(map(le, tail_d, (*tail_a[2:], 0, 0)))
@@ -128,6 +129,26 @@ def deficit_held_to_s_h_plus_2(tail_a, tail_a_star):
 
 
 def test_aggregate_deficit_off_by_two_turns_false(monkeypatch):
-    monkeypatch.setattr(analysis, "_aggregate_deficit", deficit_held_to_s_h_plus_2)
+    monkeypatch.setattr(analysis, "check_aggregate_deficit", deficit_held_to_s_h_plus_2)
     assert false_lines(verdicts((1, 2), "A1 A2 S A1")) == [
         "verdict aggregate_deficit_bound false h=1"]
+
+
+def lowest_class_optimum(trace, caps, profile, state_cap):
+    """`opt_search` that reports the optimum's value but serves the lowest class."""
+    value = real_opt_search(trace, caps, profile, state_cap=state_cap).benefit
+    choices = lowest_class_first(trace.events, caps.caps, profile.m)
+    return OptResult(value, Schedule(tuple(choices)))
+
+
+def test_schedule_short_of_the_optimum_is_refused(monkeypatch, tmp_path, capsys):
+    # the optimum earns 5 on this trace, the lowest-class schedule 3; unchecked,
+    # ratio 3/5 passes ratio_bound and only top_class_equal fails
+    monkeypatch.setattr(analysis, "opt_search", lowest_class_optimum)
+    with pytest.raises(LedgerMismatch, match="optimal schedule earns 3, not 5"):
+        verdicts((1, 2), "A1 A2 S A2 S S")
+    path = tmp_path / "t.trace"
+    path.write_text("A 1\nA 2\nS\nA 2\nS\nS\n")
+    assert cli.main(["verify", "--values", "1", "2", "--caps", "1", "1",
+                     "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == "error: optimal schedule earns 3, not 5\n"
