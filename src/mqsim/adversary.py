@@ -2,8 +2,10 @@
 
 Exhaustive mode enumerates event strings over {A1..Am, S} up to a length
 bound (`exhaustive_worst` states the exact set); random mode samples seeded
-uniform strings.  Each candidate is drained before evaluation so benefits are
-well-defined totals.  Both modes feed their candidates through one scan loop.
+uniform strings.  Exhaustive mode decodes each raw string from its index, in
+index order, out of cached tables of half-length words.  Each candidate is
+drained before evaluation so benefits are well-defined totals.  Both modes
+feed their candidates through one scan loop.
 Any ratio above the proven bound aborts the search with a falsification
 report; it is never silently clamped.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from multiprocessing import get_context
 from operator import mul
 from typing import Iterable
@@ -76,17 +79,25 @@ def _evaluate(
     return space.best_scaled(events), g
 
 
+_WORDS: dict[tuple[int, int], tuple[int, tuple, tuple]] = {}  # (length, m) -> halves
+
+
 def _decode(index: int, length: int, m: int) -> tuple[int, ...]:
     """Raw string for a base-(m+1) index, most significant digit first.
 
     Digits 0..m-1 are arrivals of classes 1..m, digit m is a send, so numeric
-    order equals lexicographic order over (A1 < ... < Am < S).
+    order equals lexicographic order over (A1 < ... < Am < S).  The index
+    splits into its high and low halves, each read from a cached table of
+    every word of that many digits; `product` lists them in index order.
     """
-    events = [0] * length
-    for pos in range(length - 1, -1, -1):
-        index, digit = divmod(index, m + 1)
-        events[pos] = SEND if digit == m else digit + 1
-    return tuple(events)
+    words = _WORDS.get((length, m))
+    if words is None:
+        half, digits = length // 2, (*range(1, m + 1), SEND)
+        words = _WORDS[length, m] = ((m + 1) ** half, tuple(product(digits, repeat=length - half)),
+                                     tuple(product(digits, repeat=half)))
+    base, high, low = words
+    hi, lo = divmod(index, base)
+    return high[hi] + low[lo]
 
 
 def _drain_events(events: tuple[int, ...]) -> tuple[int, ...]:

@@ -407,7 +407,9 @@ def verify_all(
     opt_result = opt_search(trace, caps, profile, state_cap=state_cap)
     opt_ledger = replay_schedule(trace, caps, profile, opt_result.schedule)
     g, o = greedy_ledger.benefit_transmitted, opt_ledger.benefit_transmitted
-    if o != opt_result.benefit:  # the extracted schedule must earn the DP's optimum
+    # the extracted schedule must earn the DP's optimum; both are normalised
+    # Fractions, so equal values have equal (numerator, denominator) pairs
+    if o.as_integer_ratio() != opt_result.benefit.as_integer_ratio():
         raise LedgerMismatch(f"optimal schedule earns {o}, not {opt_result.benefit}")
     bound, co = _profile_constants(profile)
 

@@ -80,20 +80,25 @@ def check_inputs(trace: Trace, caps: QueueCapacities, profile: ValueProfile) -> 
 def greedy_schedule(events: tuple[int, ...], caps: tuple[int, ...], m: int) -> list[int | None]:
     """Greedy's class at each send (None: idle): accept whenever there is a
     vacancy, transmit from the highest-indexed nonempty queue, idle only when
-    all queues are empty.  Arrival classes must already be checked."""
+    all queues are empty.  Arrival classes must already be checked.  Bit c-1
+    of `nonempty` is set while class c's queue holds a packet, so the top
+    nonempty class is its bit length."""
     q = [0] * m
+    nonempty = 0
     choices: list[int | None] = []
     for ev in events:
         if ev == SEND:
-            for c in range(m - 1, -1, -1):
-                if q[c]:
-                    q[c] -= 1
-                    choices.append(c + 1)
-                    break
+            if nonempty:
+                c = nonempty.bit_length()
+                q[c - 1] -= 1
+                if not q[c - 1]:
+                    nonempty ^= 1 << c - 1
+                choices.append(c)
             else:
                 choices.append(None)
         elif q[ev - 1] < caps[ev - 1]:
             q[ev - 1] += 1
+            nonempty |= 1 << ev - 1
     return choices
 
 

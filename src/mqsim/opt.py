@@ -14,7 +14,8 @@ phi[s] + P, where phi[s] = sum_c w_c q_c(s) is the weight s buffers and P
 that of the full state; no field is negative, and the width keeps each top
 bit clear.  An arrival is a shift, a mask select and an add; a send merges
 each class's shifted successor fields with an exact SWAR max.  Both are O(m)
-big-int operations.  Each width's constants and send tails are cached.
+big-int operations.  Each width's constants and send tails are cached.  One
+loop folds the layers: `best_scaled` keeps none of them, `tables` keeps all.
 
 `opt_bruteforce` is the independent oracle: plain recursion over every
 diligent choice, no shared state machinery, Fraction arithmetic throughout.
@@ -25,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import prod
 from operator import mul
-from typing import Iterator
 
 from .engine import Schedule, check_inputs
 from .model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile
@@ -76,9 +76,11 @@ class _StateSpace:
             self._packings[width] = _Packed(self, width)
         return self._packings[width]
 
-    def layers(self, events: tuple[int, ...]) -> Iterator[int]:
-        """The backward DP: yields val[i] - phi + P, packed, for i = n, ..., 0,
-        where val[i][s] is the max scaled benefit of events[i:] from state s."""
+    def _fold(self, events: tuple[int, ...], keep: list[int] | None) -> tuple[int, _Packed]:
+        """The backward DP: val[i] - phi + P, packed, for i = n, ..., 0, where
+        val[i][s] is the max scaled benefit of events[i:] from state s.  Returns
+        the last layer and its packing; appends every layer, in that order, to
+        `keep` when it is a list."""
         packed = self.packing(len(events))
         tail, send, arrive = packed.tail, packed.send, packed.arrive
         run = 0
@@ -87,26 +89,31 @@ class _StateSpace:
         top = min(run, sum(self.caps))
         while len(tail) <= top:
             tail.append(send(tail[-1]))
-        yield from tail[:top]
         val = tail[top]
-        yield from repeat(val, run - top + 1)
+        if keep is not None:
+            keep += tail[:top]
+            keep += [val] * (run - top + 1)
         for ev in reversed(events[: len(events) - run]):
             if ev == SEND:
                 val = send(val)
             else:
                 shift, ok, adm = arrive[ev - 1]  # admitting s takes field s + e_c, + w_c
                 val = (val ^ ((val ^ (val >> shift)) & ok)) + adm
-            yield val
+            if keep is not None:
+                keep.append(val)
+        return val, packed
 
     def best_scaled(self, events: tuple[int, ...]) -> int:
-        """Max scaled benefit over all diligent schedules (phi[0] = 0)."""
-        for val in self.layers(events):
-            pass
-        return (val & self.packing(len(events)).field) - self.offset
+        """Max scaled benefit over all diligent schedules (phi[0] = 0); keeps no layers."""
+        val, packed = self._fold(events, None)
+        return (val & packed.field) - self.offset
 
     def tables(self, events: tuple[int, ...]) -> list[int]:
         """Every packed DP layer, indexed by event position, for extraction."""
-        return list(self.layers(events))[::-1]
+        layers: list[int] = []
+        self._fold(events, layers)
+        layers.reverse()
+        return layers
 
 
 class _Packed:

@@ -8,7 +8,10 @@ lacks metrics that `BENCHMARK.json` lists.  This happens, for example, when
 a caller stops importing a function it used to call.  These tests read the
 two lists at run time, so they follow any change the benchmark makes to them.
 A seam that resolves but is no longer called loses its metric just as
-silently, so the last two tests count the calls of small traced runs.
+silently, so the last three tests count the calls of small traced runs.
+The last one checks the two counts that `perfbench/run.py` drops when they
+miss its model of the exhaustive scan: `adversary.enumerated` and
+`opt.dp_cells`.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import mqsim
@@ -99,3 +103,27 @@ def test_one_dp_per_verify():
     assert calls["analysis.verify_all"] == len(traces)
     assert calls["opt.opt_search"] == calls["opt.tables"] == len(traces)
     assert rec.dp_cells == sum(3 * 2 * 3 * 2 * len(t.events) for t in traces)
+
+
+def test_exhaustive_scan_decodes_every_string_and_runs_one_dp_per_kept_one(capsys):
+    """Every raw string up to the length bound is decoded exactly once, and
+    each kept nonempty string (an arrival first, a send last) runs one
+    |states| x |drained events| DP; the empty string earns nothing and runs none."""
+    m, max_len = 3, 6
+    rec = spans.Recorder()
+    saved = rec.install(sys.modules)
+    try:
+        assert mqsim.cli.main(["search", "--values", "1", "2", "5", "--caps", "1", "1", "1",
+                               "--max-len", str(max_len)]) == 0
+    finally:
+        spans.Recorder.restore(saved)
+    capsys.readouterr()
+    calls = {name: count for name, (count, _) in rec.totals().items()}
+    assert calls["adversary._decode"] == sum((m + 1) ** length for length in range(max_len + 1))
+    drained_lengths = sum(
+        length + sum(ev != SEND for ev in raw)
+        for length in range(2, max_len + 1)
+        for raw in product((*range(1, m + 1), SEND), repeat=length)
+        if raw[0] != SEND and raw[-1] == SEND
+    )
+    assert rec.dp_cells == 2 * 2 * 2 * drained_lengths

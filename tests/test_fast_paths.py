@@ -1,0 +1,111 @@
+"""The search's per-candidate fast paths against plain oracles.
+
+`adversary._decode` reads each raw string's two index halves from cached
+tables; `divmod_decode` below peels one base-(m+1) digit at a time.
+`engine.greedy_schedule` finds the top nonempty class from a bitmask;
+`scan_greedy_schedule` scans the classes from the top.  `best_scaled` and
+`tables` run one backward fold, keeping no layers and every layer.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mqsim.adversary import _decode
+from mqsim.engine import greedy_schedule
+from mqsim.model import QueueCapacities, SEND, Trace, ValueProfile, append_drain
+from mqsim.opt import _state_space, opt_bruteforce
+
+
+def divmod_decode(index, length, m):
+    """Raw string for a base-(m+1) index, most significant digit first:
+    digits 0..m-1 are arrivals of classes 1..m, digit m is a send."""
+    events = [0] * length
+    for pos in range(length - 1, -1, -1):
+        index, digit = divmod(index, m + 1)
+        events[pos] = SEND if digit == m else digit + 1
+    return tuple(events)
+
+
+def scan_greedy_schedule(events, caps, m):
+    """Greedy's class at each send (None: idle), scanning the queues from
+    the highest class down."""
+    q = [0] * m
+    choices = []
+    for ev in events:
+        if ev == SEND:
+            for c in range(m - 1, -1, -1):
+                if q[c]:
+                    q[c] -= 1
+                    choices.append(c + 1)
+                    break
+            else:
+                choices.append(None)
+        elif q[ev - 1] < caps[ev - 1]:
+            q[ev - 1] += 1
+    return choices
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_decode_matches_divmod_on_every_index(m):
+    for length in range(8):
+        for index in range((m + 1) ** length):
+            assert _decode(index, length, m) == divmod_decode(index, length, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_decode_matches_divmod_on_long_strings(m):
+    rng = random.Random(m)
+    for length in range(8, 15):
+        span = (m + 1) ** length
+        for index in (0, span - 1, *(rng.randrange(span) for _ in range(200))):
+            assert _decode(index, length, m) == divmod_decode(index, length, m)
+
+
+@st.composite
+def greedy_inputs(draw):
+    m = draw(st.integers(1, 5))
+    caps = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    events = tuple(draw(st.lists(st.integers(0, m), max_size=30)))
+    return events, caps, m
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(greedy_inputs())
+def test_greedy_schedule_matches_class_scan(instance):
+    assert greedy_schedule(*instance) == scan_greedy_schedule(*instance)
+
+
+@st.composite
+def dp_inputs(draw):
+    m = draw(st.integers(2, 4))
+    values = draw(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 6), max_value=10, max_denominator=6),
+            min_size=m,
+            max_size=m,
+            unique=True,
+        )
+    )
+    caps = draw(st.lists(st.integers(1, 2), min_size=m, max_size=m))
+    events = tuple(draw(st.lists(st.integers(0, m), max_size=9)))
+    if draw(st.booleans()):
+        events = append_drain(Trace(events)).events
+    return ValueProfile(tuple(sorted(values))), QueueCapacities(tuple(caps)), events
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(dp_inputs())
+def test_best_scaled_is_the_first_table_and_the_optimum(instance):
+    profile, caps, events = instance
+    space = _state_space(caps.caps, profile.weights, len(events))
+    tables = space.tables(events)
+    assert len(tables) == len(events) + 1
+    field = space.packing(len(events)).field
+    scaled = space.best_scaled(events)
+    assert scaled == (tables[0] & field) - space.offset
+    assert scaled == opt_bruteforce(Trace(events), caps, profile) * profile.scale

@@ -1,6 +1,6 @@
 """Differential test of the packed optimum DP.
 
-`_StateSpace.layers` packs each layer into one int: state s's field holds
+`_StateSpace.tables` packs each DP layer into one int: state s's field holds
 val - phi + P, where phi[s] = sum_c w_c q_c(s) and P is the full state's
 phi.  Each field width's constants and trailing-send layers are cached on
 the (memoized) space.  The oracle below is the plain backward DP: one
@@ -91,7 +91,7 @@ def unpack(space, events, layer):
 
 
 def assert_layers_match(space, events):
-    pot = list(space.layers(events))
+    pot = space.tables(events)[::-1]  # val[n], ..., val[0], the oracle's order
     want = list(oracle_layers(space, events))
     assert len(pot) == len(want) == len(events) + 1
     p = phi(space)
