@@ -6,8 +6,9 @@ ratio is 1 + c*, where c* is the maximum of
 
     c_i = (v_i + T_i) / (v_{i+1} + T_i),   T_i = sum_{j<i} 2^(j-1) v_{i-j}.
 
-This script prints the constants for a few profiles, shows the known
-deterministic lower bound 2 - v_m / (v_1 + ... + v_m) next to them, and
+This script prints the constants for a few profiles, shows `lower` =
+2 - v_m / (v_1 + ... + v_m) next to them (not a lower bound on greedy's
+ratio at every capacity vector: see `BoundReport`), and
 contrasts the two natural recurrences for building value sequences: only the
 doubled one pins every c_i at exactly 1/2.
 """

@@ -15,7 +15,7 @@ if __name__ == "__main__":
     profile = validate_profile((1, 2))
     caps = QueueCapacities((1, 1))
     report = compute_c(profile)
-    print(f"values (1, 2): upper bound {report.upper}, known lower bound {report.abs_lower}")
+    print(f"values (1, 2): upper bound {report.upper}, lower {report.abs_lower}")
     print()
 
     print("exhaustive search, growing length bound:")

@@ -3,7 +3,8 @@
 Exhaustive mode enumerates event strings over {A1..Am, S} up to a length
 bound (`exhaustive_worst` states the exact set); random mode samples seeded
 uniform strings.  Exhaustive mode decodes each raw string from its index, in
-index order, out of cached tables of half-length words.  Each candidate is
+index order, out of cached tables of half-length words, and keeps a
+candidate by its index alone.  Each candidate is
 drained before evaluation so benefits are well-defined totals.  Both modes
 feed their candidates through one scan loop.
 Any ratio above the proven bound aborts the search with a falsification
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, compress, cycle, islice, product, repeat
 from multiprocessing import get_context
 from operator import mul
 from typing import Iterable
@@ -144,14 +145,17 @@ def _scan_range(
 
     Pruning: strings starting with a send or ending with an arrival are
     skipped; their drained behavior is covered by shorter or send-terminated
-    strings.
+    strings.  Both are read off the index: a string ends with a send iff its
+    index is m mod m+1, and starts with an arrival iff its index is below
+    m (m+1)^(length-1).  Every index is still decoded.
     """
-    raws = (_decode(index, length, m) for index in range(start, stop))
-    candidates = (
-        _drain_events(raw)
-        for raw in raws
-        if not raw or (raw[0] != SEND and raw[-1] == SEND)
-    )
+    raws = map(_decode, range(start, stop), repeat(length), repeat(m))
+    if length:
+        kept = max(min(stop, m * (m + 1) ** (length - 1)) - start, 0)
+        phase = start % (m + 1)
+        flags = chain(islice(cycle((False,) * m + (True,)), phase, phase + kept), repeat(False))
+        raws = compress(raws, flags)
+    candidates = map(_drain_events, raws)
     space = _state_space(caps, weights, max(2 * length - 1, 0), state_cap)
     return _scan(candidates, space, bound)
 

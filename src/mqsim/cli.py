@@ -51,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="config file with values:/capacities: lines")
         if with_caps:  # only the commands with capacities run the optimum's DP
             p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                           help="cap on offline-optimum DP cells")
+                           help="cap on offline-optimum DP cells; a cell is one "
+                           "state at one event, in 64-bit words of its field")
 
     p_sim = sub.add_parser("simulate", help="run greedy and the offline optimum on a trace")
     add_common(p_sim)

@@ -239,8 +239,10 @@ class BoundReport:
     """Closed-form constants of a value profile.
 
     `c` holds c_1..c_{m-1}, `c_star` their maximum, `upper` the proven
-    competitive ratio 1 + c_star of the greedy policy, and `abs_lower` the
-    known deterministic lower bound 2 - v_m / (v_1 + ... + v_m).
+    competitive ratio 1 + c_star of the greedy policy, and `abs_lower`
+    2 - v_m / (v_1 + ... + v_m).  `abs_lower` is not a lower bound at every
+    capacity vector: for values (1, 2) it is 4/3, and greedy's worst ratio
+    over max-len 8 is 5/4 at caps (2, 1), 4/3 at (1, 1) and 7/5 at (1, 2).
     """
 
     c: tuple[Fraction, ...]

@@ -11,9 +11,10 @@ on any trace tried.
 
 A DP layer is one int of packed fields.  State s's field holds val[s] -
 phi[s] + P, where phi[s] = sum_c w_c q_c(s) is the weight s buffers and P
-that of the full state; no field is negative, and the width keeps each top
-bit clear.  An arrival is a shift, a mask select and an add; a send merges
-each class's shifted successor fields with an exact SWAR max.  Both are O(m)
+that of the full state; no field is negative.  A field is bit_length(P + a
+* max w) + 1 bits wide for a trace of a arrivals, which keeps each top bit
+clear.  An arrival is a shift, a mask select and an add; a send merges each
+class's shifted successor fields with a 7-op SWAR max.  Both are O(m)
 big-int operations.  Each width's constants and send tails are cached.  One
 loop folds the layers: `best_scaled` keeps none of them, `tables` keeps all.
 
@@ -66,22 +67,23 @@ class _StateSpace:
         self.serve = [[(s - stride[c], c + 1) for c in reversed(range(len(caps))) if q[c]]
                       for s, q in enumerate(states)]
         self.offset = sum(map(mul, weights, caps))  # P, the full state's phi
-        self._packings: dict[int, _Packed] = {}
+        self._packings: dict[int, _Packed] = {}  # by arrival count, shared per width
 
-    def packing(self, n_events: int) -> _Packed:
-        # 0 <= val - phi + P <= P + (weight of the arrivals left): one bit more keeps
-        # each field's top bit clear for the SWAR max; whole bytes keep widths few
-        width = -(-((self.offset + n_events * max(self.weights)).bit_length() + 1) // 8) * 8
-        if width not in self._packings:
-            self._packings[width] = _Packed(self, width)
-        return self._packings[width]
+    def packing(self, arrivals: int) -> _Packed:
+        """The packing of every DP layer of a trace with `arrivals` arrivals."""
+        packed = self._packings.get(arrivals)
+        if packed is None:
+            width = _field_width(self.offset, self.weights, arrivals)
+            packed = next((p for p in self._packings.values() if p.width == width), None)
+            packed = self._packings[arrivals] = packed or _Packed(self, width)
+        return packed
 
     def _fold(self, events: tuple[int, ...], keep: list[int] | None) -> tuple[int, _Packed]:
         """The backward DP: val[i] - phi + P, packed, for i = n, ..., 0, where
         val[i][s] is the max scaled benefit of events[i:] from state s.  Returns
         the last layer and its packing; appends every layer, in that order, to
         `keep` when it is a list."""
-        packed = self.packing(len(events))
+        packed = self.packing(len(events) - events.count(SEND))
         tail, send, arrive = packed.tail, packed.send, packed.arrive
         run = 0
         while run < len(events) and events[-1 - run] == SEND:
@@ -121,7 +123,7 @@ class _Packed:
 
     def __init__(self, space: _StateSpace, width: int):
         def pack(xs: list[int]) -> int:  # xs[s] in bits [s*W, (s+1)*W), in linear time
-            return int.from_bytes(b"".join(x.to_bytes(width >> 3, "little") for x in xs), "little")
+            return int("".join(format(x, f"0{width}b") for x in reversed(xs)), 2)
 
         states, self.width, self.field = space.states, width, (1 << width) - 1  # F
         self.high = pack([1 << width - 1] * space.size)  # H
@@ -141,10 +143,27 @@ class _Packed:
         high, top, (shift, ok, _) = self.high, self.width - 1, self.arrive[0]
         best = (v & ok) << shift
         for shift, ok, _ in self.arrive[1:]:
-            a = (v & ok) << shift
-            t = ((a | high) - best) & high  # SWAR max: top bit set where a >= best
-            best ^= (a ^ best) & (t - (t >> top))
+            # SWAR max: every field is below 2^top, so no borrow or carry crosses
+            # one; d's top bit is set where a >= best, and its low bits are a - best
+            d = (((v & ok) << shift) | high) - best
+            t = d & high
+            best += d & (t - (t >> top))
         return best | (v & self.field)
+
+
+def _field_width(offset: int, weights: tuple[int, ...], arrivals: int) -> int:
+    # 0 <= val - phi + P <= P + (weight of the arrivals left): one bit more keeps
+    # each field's top bit clear for the SWAR max
+    return (offset + arrivals * max(weights)).bit_length() + 1
+
+
+@lru_cache(maxsize=256)
+def _cells(caps: tuple[int, ...], weights: tuple[int, ...], n_events: int) -> int:
+    """A-priori DP cells of a run over at most `n_events` events, in 64-bit
+    words: each state's field in each layer, at the width for `n_events`
+    arrivals, counts ceil(width / 64)."""
+    width = _field_width(sum(map(mul, weights, caps)), weights, n_events)
+    return prod(b + 1 for b in caps) * max(n_events, 1) * -(-width // 64)
 
 
 @lru_cache(maxsize=8)
@@ -160,9 +179,9 @@ def _state_space(
 ) -> _StateSpace:
     """The size guard: the (memoized) state space for DP runs over at most
     `n_events` events.  Raises StateSpaceExceeded when the a-priori cell
-    count prod(B_i + 1) * max(n_events, 1) exceeds `state_cap`; the cap is a
-    guard, never an approximation."""
-    needed = prod(b + 1 for b in caps) * max(n_events, 1)
+    count prod(B_i + 1) * max(n_events, 1) * ceil(width / 64) exceeds
+    `state_cap`; the cap is a guard, never an approximation."""
+    needed = _cells(caps, weights, n_events)
     if needed > state_cap:
         raise StateSpaceExceeded(state_cap, needed)
     return _cached_space(caps, weights)
@@ -185,14 +204,15 @@ def opt_search(
     if not trace.drained:
         raise ValueError("opt_search needs a drained trace; use append_drain first")
 
-    space = _state_space(caps.caps, profile.weights, len(trace.events), state_cap)
-    tables = space.tables(trace.events)
+    events = trace.events
+    space = _state_space(caps.caps, profile.weights, len(events), state_cap)
+    tables = space.tables(events)
 
-    packed = space.packing(len(trace.events))
+    packed = space.packing(len(events) - events.count(SEND))
     states, stride, width, field = space.states, space.stride, packed.width, packed.field
     choices: list[int | None] = []
     s = 0
-    for i, ev in enumerate(trace.events):
+    for i, ev in enumerate(events):
         if ev == SEND:
             if s == 0:
                 choices.append(None)

@@ -241,11 +241,27 @@ class TestDrainBeforeEvaluation:
         assert result.worst_trace.drained
 
     def test_gap_report_against_lower_bound(self, two_class):
-        # The known lower bound is over all algorithms and lengths; the
-        # empirical worst may sit anywhere below the upper bound, so the gap
-        # is data, not an assertion.
+        # `abs_lower` is not a lower bound at every capacity vector (see
+        # TestLowerAgainstCaps); the empirical worst may sit anywhere below
+        # the upper bound, so the gap is data, not an assertion.
         profile, caps = two_class
         report = compute_c(profile)
         result = exhaustive_worst(profile, caps, max_len=6)
         assert result.worst_ratio <= report.upper
         assert report.abs_lower <= report.upper
+
+
+class TestLowerAgainstCaps:
+    # For values (1, 2), `abs_lower` = 2 - 2/3 = 4/3 whatever the caps, but
+    # greedy's worst over the 2,187 candidates of max-len 8 falls below it,
+    # meets it or exceeds it, depending on the caps.
+    @pytest.mark.parametrize("caps, worst", [
+        ((2, 1), Fraction(5, 4)),
+        ((1, 1), Fraction(4, 3)),
+        ((1, 2), Fraction(7, 5)),
+    ])
+    def test_worst_against_lower(self, caps, worst):
+        profile = validate_profile((1, 2))
+        result = exhaustive_worst(profile, QueueCapacities(caps), max_len=8)
+        assert compute_c(profile).abs_lower == Fraction(4, 3)
+        assert (result.worst_ratio, result.traces_evaluated) == (worst, 2187)

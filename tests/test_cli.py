@@ -89,6 +89,16 @@ class TestVerify:
         assert len(lines) == 15
         assert all(line.split()[2] == "true" for line in lines)
 
+    def test_wide_fields_exit_3(self, tmp_path, capsys):
+        # 1.2 M cells at caps (4, 3), each 2,011 bits wide: 32 words apiece
+        path = tmp_path / "long.trace"
+        path.write_text("A 2\n" * 30_008 + "S\n" * 30_009)
+        code, out, err = run(
+            ["verify", "--values", "1", str(10**600), "--caps", "4", "3",
+             "--trace", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: needs {20 * 60_017 * 32} DP cells, cap is 10000000\n"
+
     def test_config_file(self, witness_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("values: 1 2\ncapacities: 1 1\n")

@@ -2,6 +2,8 @@
 
 `adversary._decode` reads each raw string's two index halves from cached
 tables; `divmod_decode` below peels one base-(m+1) digit at a time.
+`adversary._scan_range` keeps candidates by their index; `kept_by_predicate`
+keeps them by the decoded string, as the scan did before.
 `engine.greedy_schedule` finds the top nonempty class from a bitmask;
 `scan_greedy_schedule` scans the classes from the top.  `best_scaled` and
 `tables` run one backward fold, keeping no layers and every layer.
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mqsim.adversary as adversary
 from mqsim.adversary import _decode
 from mqsim.engine import greedy_schedule
 from mqsim.model import QueueCapacities, SEND, Trace, ValueProfile, append_drain
@@ -66,6 +69,47 @@ def test_decode_matches_divmod_on_long_strings(m):
             assert _decode(index, length, m) == divmod_decode(index, length, m)
 
 
+def kept_by_predicate(start, stop, length, m):
+    """Indices whose decoded string is empty, or starts with an arrival and
+    ends with a send."""
+    kept = []
+    for index in range(start, stop):
+        raw = divmod_decode(index, length, m)
+        if not raw or (raw[0] != SEND and raw[-1] == SEND):
+            kept.append(index)
+    return kept
+
+
+def kept_by_scan_range(start, stop, length, m):
+    """The indices `_scan_range` hands to the scan, in order, read back from
+    the raw strings it drains (the caller makes draining and scanning pass
+    them through)."""
+    raws, _, _ = adversary._scan_range(length, start, stop, m, (1,) * m, tuple(range(1, m + 1)),
+                                       Fraction(2), 10**7)
+    kept = []
+    for raw in raws:
+        index = 0
+        for ev in raw:
+            index = index * (m + 1) + (m if ev == SEND else ev - 1)
+        kept.append(index)
+    return kept
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_scan_range_keeps_the_predicates_indices(m, monkeypatch):
+    """Chunks of 1, 7 and 13 indices start at every phase mod m+1, and none
+    of those sizes is a multiple of m+1."""
+    monkeypatch.setattr(adversary, "_drain_events", lambda raw: raw)
+    monkeypatch.setattr(adversary, "_scan", lambda candidates, space, bound: (list(candidates), 0, None))
+    for length in range(7):
+        span = (m + 1) ** length
+        for step in (1, 7, 13, span):
+            for start in range(0, span, step):
+                stop = min(start + step, span)
+                assert (kept_by_scan_range(start, stop, length, m)
+                        == kept_by_predicate(start, stop, length, m))
+
+
 @st.composite
 def greedy_inputs(draw):
     m = draw(st.integers(1, 5))
@@ -105,7 +149,7 @@ def test_best_scaled_is_the_first_table_and_the_optimum(instance):
     space = _state_space(caps.caps, profile.weights, len(events))
     tables = space.tables(events)
     assert len(tables) == len(events) + 1
-    field = space.packing(len(events)).field
+    field = space.packing(len(events) - events.count(SEND)).field
     scaled = space.best_scaled(events)
     assert scaled == (tables[0] & field) - space.offset
     assert scaled == opt_bruteforce(Trace(events), caps, profile) * profile.scale

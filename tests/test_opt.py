@@ -14,7 +14,13 @@ from mqsim.model import (
     parse_trace,
     validate_profile,
 )
-from mqsim.opt import StateSpaceExceeded, opt_bruteforce, opt_search
+from mqsim.opt import (
+    DEFAULT_STATE_CAP,
+    StateSpaceExceeded,
+    _state_space,
+    opt_bruteforce,
+    opt_search,
+)
 
 
 def random_drained_trace(rng, m, max_len=12):
@@ -107,6 +113,35 @@ class TestOptSearch:
                 ledger = replay_schedule(trace, caps, profile, result.schedule)
                 greedy_ledger, _ = run_greedy(trace, caps, profile)
                 assert ledger.accepted[-1][-1] == greedy_ledger.accepted[-1][-1]
+
+
+class TestWideFieldGuard:
+    # Values (1, 10**600) at caps (4, 3): 20 states, so a 60,017-event trace
+    # is 1.2 M cells of one word each, far under the default cap.  But each
+    # field is 2,011 bits wide, so the guard charges 32 words per cell.  Only
+    # the 20-state space is ever built here.
+    profile = validate_profile(("1", str(10**600)))
+    caps = QueueCapacities((4, 3))
+    n = 60_017
+    needed = 20 * n * 32
+
+    def test_wide_fields_exceed_the_default_cap(self):
+        trace = Trace((2,) * 30_008 + (SEND,) * 30_009)
+        assert 20 * self.n <= DEFAULT_STATE_CAP < self.needed
+        with pytest.raises(StateSpaceExceeded) as exc:
+            opt_search(trace, self.caps, self.profile)
+        assert (exc.value.needed, exc.value.limit) == (self.needed, DEFAULT_STATE_CAP)
+
+    def test_guard_counts_words_exactly(self):
+        _state_space(self.caps.caps, self.profile.weights, self.n, state_cap=self.needed)
+        with pytest.raises(StateSpaceExceeded):
+            _state_space(self.caps.caps, self.profile.weights, self.n, state_cap=self.needed - 1)
+
+    def test_short_trace_with_the_same_weights_passes(self):
+        trace = append_drain(parse_trace("A 1\nA 2\nA 2\nS\nA 1\nA 2\nS\nA 2\n"))
+        result = opt_search(trace, self.caps, self.profile)
+        assert result.benefit == opt_bruteforce(trace, self.caps, self.profile)
+        assert result.benefit == 2 + 4 * 10**600
 
 
 class TestBruteforce:

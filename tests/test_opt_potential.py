@@ -7,18 +7,27 @@ the (memoized) space.  The oracle below is the plain backward DP: one
 Python generator per send state, `w + val[s2]` at every move, and the same
 `w +` in the schedule extraction.  Its transitions are rebuilt
 here from the occupancy vectors alone, and every field of every packed
-layer is unpacked and compared with it.
+layer is unpacked and compared with it.  The send's SWAR max is also
+checked alone, at widths of 2-70 bits, against a per-field Python max.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mqsim.engine import Schedule
 from mqsim.model import QueueCapacities, SEND, Trace, ValueProfile, append_drain
-from mqsim.opt import _state_space, opt_bruteforce, opt_search
+from mqsim.opt import (
+    StateSpaceExceeded,
+    _Packed,
+    _StateSpace,
+    _state_space,
+    opt_bruteforce,
+    opt_search,
+)
 
 
 def oracle_transitions(space):
@@ -80,12 +89,16 @@ def phi(space):
     return [sum(w * q for w, q in zip(space.weights, qs)) for qs in space.states]
 
 
+def arrivals(events):
+    return len(events) - events.count(SEND)
+
+
 def unpack(space, events, layer):
-    """Every field of one packed layer, as val - phi + P.  The width must hold
-    P + (weight of every event as an arrival) with a clear top bit, and
-    nothing may sit above the last state's field."""
-    width = space.packing(len(events)).width
-    assert (space.offset + len(events) * max(space.weights)).bit_length() < width
+    """Every field of one packed layer, as val - phi + P.  The width is
+    exactly one bit more than P + (weight of every arrival at the top class)
+    needs, and nothing may sit above the last state's field."""
+    width = space.packing(arrivals(events)).width
+    assert width == (space.offset + arrivals(events) * max(space.weights)).bit_length() + 1
     assert layer >= 0 and layer >> space.size * width == 0
     return [(layer >> s * width) & ((1 << width) - 1) for s in range(space.size)]
 
@@ -171,8 +184,8 @@ def test_shared_tail_cache_grows_and_shrinks(profile_caps, data, runs):
 
 @st.composite
 def small_weight_profiles(draw):
-    """Integer values 1-4 and caps 1-2: a trace of 20 events needs 8-bit
-    fields, and a few dozen more events need 16."""
+    """Integer values 1-4 and caps 1-2: fields of a few bits, so a few more
+    arrivals at the top class need a wider one."""
     m = draw(st.integers(2, 4))
     values = sorted(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m, unique=True)))
     caps = draw(st.lists(st.integers(1, 2), min_size=m, max_size=m))
@@ -186,27 +199,27 @@ def small_weight_profiles(draw):
     st.lists(st.integers(0, 14), min_size=2, max_size=6),
 )
 def test_shared_packings_interleave_widths(profile_caps, data, runs):
-    """Calls on one memoized space alternate between two field widths, and
-    each width's constants and trailing-send layers agree with the oracle.
-    The long traces serve the top class often enough to need the wider
-    field."""
+    """Calls on one memoized space alternate between at least two field
+    widths, and each width's constants and trailing-send layers agree with
+    the oracle.  The long traces serve the top class often enough to need a
+    wider field."""
     profile, caps = profile_caps
     m = profile.m
     head = tuple(data.draw(st.lists(st.integers(0, m), max_size=6)))
     space = _state_space(caps.caps, profile.weights, 200)
-    narrow = space.packing(20).width
-    pairs = next(j for j in range(100) if space.packing(len(head) + 2 * j).width > narrow)
+    narrow = space.packing(arrivals(head)).width
+    pairs = next(j for j in range(100) if space.packing(arrivals(head) + j).width > narrow)
     widths = set()
     for run in runs:
         for events in (head + (SEND,) * run, head + (m, SEND) * pairs + (SEND,) * run):
-            widths.add(space.packing(len(events)).width)
+            widths.add(space.packing(arrivals(events)).width)
             assert_layers_match(space, events)
             trace = Trace(events)
             if trace.drained:
                 result = opt_search(trace, caps, profile)
                 benefit, schedule = oracle_search(space, events, profile.scale)
                 assert (result.benefit, result.schedule) == (benefit, schedule)
-    assert len(widths) == 2
+    assert len(widths) >= 2
 
 
 @st.composite
@@ -243,7 +256,7 @@ WIDTH_EXAMPLES = [
 
 def field_width(profile, caps, raw):
     space = _state_space(caps.caps, profile.weights, 2 * len(raw))
-    return space.packing(len(append_drain(Trace(raw)).events)).width
+    return space.packing(arrivals(append_drain(Trace(raw)).events)).width
 
 
 def test_width_examples_cross_word_boundaries():
@@ -267,3 +280,54 @@ def test_large_weights_match_oracle_and_bruteforce(instance):
     assert (result.benefit, result.schedule) == oracle_search(space, trace.events, profile.scale)
     if trace.events.count(SEND) <= 12:
         assert result.benefit == opt_bruteforce(trace, caps, profile)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(large_weight_instances())
+@example(WIDTH_EXAMPLES[2])
+def test_width_is_exact_for_the_arrival_count(instance):
+    """A trace of a arrivals packs at bit_length(P + a * max w) + 1 bits, and
+    the guard charges each cell that width for n_events arrivals, in 64-bit
+    words."""
+    profile, caps, raw = instance
+    events = append_drain(Trace(raw)).events
+    n = len(events)
+    space = _state_space(caps.caps, profile.weights, n)
+    for a in (0, 1, arrivals(events), n):
+        assert space.packing(a).width == (space.offset + a * max(space.weights)).bit_length() + 1
+    words = -(-space.packing(n).width // 64)
+    needed = space.size * max(n, 1) * words
+    _state_space(caps.caps, profile.weights, n, state_cap=needed)
+    with pytest.raises(StateSpaceExceeded) as exc:
+        _state_space(caps.caps, profile.weights, n, state_cap=needed - 1)
+    assert exc.value.needed == needed
+
+
+@st.composite
+def send_inputs(draw):
+    """A space, a field width of 2-70 bits (7 in 8 not a multiple of 8) and
+    one packed layer of fields below 2^(W-1), with many ties, zeros and
+    fields at 2^(W-1) - 1."""
+    m = draw(st.integers(2, 4))
+    caps = tuple(draw(st.lists(st.integers(1, 2), min_size=m, max_size=m)))
+    space = _StateSpace(caps, (1,) * m)
+    width = draw(st.integers(max(2, space.offset.bit_length()), 70))
+    top = (1 << width - 1) - 1
+    field = st.one_of(st.sampled_from((0, 1, top - 1, top)), st.integers(0, top))
+    fields = draw(st.lists(field, min_size=space.size, max_size=space.size))
+    return space, width, fields
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(send_inputs())
+def test_send_is_a_per_field_max(instance):
+    """`_Packed.send` against a per-field Python max over the oracle's send
+    moves: state s takes the largest field s - e_c over its nonempty classes,
+    and state 0 keeps its own."""
+    space, width, fields = instance
+    _, send_moves = oracle_transitions(space)
+    want = [max(fields[s2] for _, s2, _ in moves) if moves else fields[s]
+            for s, moves in enumerate(send_moves)]
+    out = _Packed(space, width).send(sum(x << s * width for s, x in enumerate(fields)))
+    assert out >> space.size * width == 0
+    assert [(out >> s * width) & ((1 << width) - 1) for s in range(space.size)] == want
