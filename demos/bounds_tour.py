@@ -31,7 +31,7 @@ def show(values):
     print(f"  c        = {', '.join(map(str, report.c))}")
     print(f"  c*       = {report.c_star}")
     print(f"  upper    = 1 + c* = {report.upper}")
-    print(f"  lower    = {report.abs_lower}   (any deterministic policy)")
+    print(f"  lower    = {report.abs_lower}   (2 - v_m / sum(v); not a lower bound at every caps)")
     print(f"  gap      = {report.upper - report.abs_lower}")
     print()
 

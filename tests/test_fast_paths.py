@@ -6,7 +6,9 @@ tables; `divmod_decode` below peels one base-(m+1) digit at a time.
 keeps them by the decoded string, as the scan did before.
 `engine.greedy_schedule` finds the top nonempty class from a bitmask;
 `scan_greedy_schedule` scans the classes from the top.  `best_scaled` and
-`tables` run one backward fold, keeping no layers and every layer.
+`tables` run one backward fold, keeping no layers and every layer; on small
+state spaces it serves steps from each packing's transition memo, and
+`fold_oracle` is that fold without the memo.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mqsim.adversary as adversary
+import mqsim.opt as opt
 from mqsim.adversary import _decode
 from mqsim.engine import greedy_schedule
 from mqsim.model import QueueCapacities, SEND, Trace, ValueProfile, append_drain
-from mqsim.opt import _state_space, opt_bruteforce
+from mqsim.opt import _StateSpace, _state_space, opt_bruteforce
 
 
 def divmod_decode(index, length, m):
@@ -153,3 +156,82 @@ def test_best_scaled_is_the_first_table_and_the_optimum(instance):
     scaled = space.best_scaled(events)
     assert scaled == (tables[0] & field) - space.offset
     assert scaled == opt_bruteforce(Trace(events), caps, profile) * profile.scale
+
+
+def fold_oracle(space, events):
+    """Every packed layer of the backward DP, by event position, computing
+    each step: the fold as it was before the transition memo."""
+    packed = space.packing(len(events) - events.count(SEND))
+    tail, send, arrive = packed.tail, packed.send, packed.arrive
+    run = 0
+    while run < len(events) and events[-1 - run] == SEND:
+        run += 1
+    top = min(run, sum(space.caps))
+    while len(tail) <= top:
+        tail.append(send(tail[-1]))
+    val = tail[top]
+    layers = tail[:top] + [val] * (run - top + 1)
+    for ev in reversed(events[: len(events) - run]):
+        if ev == SEND:
+            val = send(val)
+        else:
+            shift, ok, adm = arrive[ev - 1]
+            val = (val ^ ((val ^ (val >> shift)) & ok)) + adm
+        layers.append(val)
+    layers.reverse()
+    return layers
+
+
+def memo_sizes(space):
+    """Transitions held per width; asserts that no two widths share a memo (a
+    layer's int means a different array at another width)."""
+    memos = {id(p): p.memo for p in space._packings.values() if p.memo is not None}
+    assert len({id(memo) for memo in memos.values()}) == len(memos)
+    return [sum(map(len, memo)) for memo in memos.values()]
+
+
+@st.composite
+def memo_inputs(draw):
+    profile, caps, _ = draw(dp_inputs())
+    raw = draw(st.lists(st.integers(0, profile.m), max_size=8))
+    return profile, caps, append_drain(Trace(tuple(raw))).events
+
+
+def assert_fold_matches_oracle(space, events):
+    layers = fold_oracle(_StateSpace(space.caps, space.weights), events)
+    field = space.packing(len(events) - events.count(SEND)).field
+    assert space.tables(events) == layers
+    assert space.best_scaled(events) == (layers[0] & field) - space.offset
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(memo_inputs())
+def test_memoized_fold_matches_the_oracle(instance):
+    profile, caps, events = instance
+    weights = profile.weights
+    # cold: a fresh space's memos are empty
+    assert_fold_matches_oracle(_StateSpace(caps.caps, weights), events)
+    # warm: the cached space, after folding this trace, its prefixes (other
+    # widths) and their reversals (other steps from the same layers)
+    space = _state_space(caps.caps, weights, len(events))
+    for k in range(len(events) + 1):
+        space.best_scaled(events[:k])
+        space.best_scaled(events[:k][::-1])
+    assert_fold_matches_oracle(space, events)
+    assert all(size <= opt._MEMO_CAP for size in memo_sizes(space))
+    # full: a cap of 3 transitions fills each memo, which keeps serving hits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(opt, "_MEMO_CAP", 3)
+        space = _StateSpace(caps.caps, weights)
+        for _ in range(2):
+            assert_fold_matches_oracle(space, events)
+        assert all(size <= 3 for size in memo_sizes(space))
+
+
+def test_wide_packings_keep_no_memo():
+    space = _StateSpace((4, 3, 4, 3), (1, 3, 4, 10))
+    events = append_drain(Trace((1, 2, 3, 4, SEND, 4, 4, 1))).events
+    assert_fold_matches_oracle(space, events)
+    packed = space.packing(len(events) - events.count(SEND))
+    assert space.size * packed.width > opt._MEMO_BITS
+    assert packed.memo is None
