@@ -3,9 +3,11 @@
 
 Exhaustive mode enumerates every event string up to a length bound (pruned of
 leading sends and trailing arrivals), drains each, and tracks the maximal
-optimal-to-greedy ratio.  The observed maximum approaches the proven 1 + c*
-bound from below; whether the bound is tight for a given profile is exactly
-the gap this script puts on display.
+optimal-to-greedy ratio.  For values (1, 2) at caps (1, 1) the exhaustive
+maximum reaches 4/3, the profile's `lower`, at length 5 and stays there up to
+length 10; random strings of length 16 to 32 find nothing higher.  The proven
+1 + c* bound is 3/2, so the run shows a gap, not a bound being approached;
+whether longer strings close it is the open question this script displays.
 """
 
 from mqsim.adversary import exhaustive_worst, random_worst

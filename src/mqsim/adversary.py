@@ -64,17 +64,11 @@ class SearchResult:
     seed: int | None = None
 
 
-def _evaluate(
-    events: tuple[int, ...],
-    caps: tuple[int, ...],
-    weights: tuple[int, ...],
-    space: _StateSpace,
-) -> tuple[int, int] | None:
-    """(opt, greedy) scaled benefits of a drained event tuple; None when
-    greedy earns nothing (the optimum is then also zero)."""
-    m = len(caps)
-    tx = greedy_transmit_counts(events, caps, m)
-    g = sum(map(mul, weights, tx))
+def _evaluate(events: tuple[int, ...], space: _StateSpace) -> tuple[int, int] | None:
+    """(opt, greedy) scaled benefits of a drained event tuple under the space's
+    caps and weights; None when greedy earns nothing (the optimum is then also
+    zero)."""
+    g = sum(map(mul, space.weights, greedy_transmit_counts(events, space.caps)))
     if g == 0:
         return None
     return space.best_scaled(events), g
@@ -89,7 +83,9 @@ def _decode(index: int, length: int, m: int) -> tuple[int, ...]:
     Digits 0..m-1 are arrivals of classes 1..m, digit m is a send, so numeric
     order equals lexicographic order over (A1 < ... < Am < S).  The index
     splits into its high and low halves, each read from a cached table of
-    every word of that many digits; `product` lists them in index order.
+    every word of that many digits; `product` lists them in index order.  A
+    half has at most ceil(length/2) digits, so the tables stay near the square
+    root of the strings enumerated.
     """
     words = _WORDS.get((length, m))
     if words is None:
@@ -120,7 +116,7 @@ def _scan(
     count = 0
     for drained in candidates:
         count += 1
-        scored = _evaluate(drained, space.caps, space.weights, space)
+        scored = _evaluate(drained, space)
         if scored is None:
             continue
         o, g = scored
@@ -135,7 +131,6 @@ def _scan_range(
     length: int,
     start: int,
     stop: int,
-    m: int,
     caps: tuple[int, ...],
     weights: tuple[int, ...],
     bound: Fraction,
@@ -147,8 +142,10 @@ def _scan_range(
     skipped; their drained behavior is covered by shorter or send-terminated
     strings.  Both are read off the index: a string ends with a send iff its
     index is m mod m+1, and starts with an arrival iff its index is below
-    m (m+1)^(length-1).  Every index is still decoded.
+    m (m+1)^(length-1), where m is the class count.  Every index is still
+    decoded.
     """
+    m = len(caps)
     raws = map(_decode, range(start, stop), repeat(length), repeat(m))
     if length:
         kept = max(min(stop, m * (m + 1) ** (length - 1)) - start, 0)
@@ -208,7 +205,7 @@ def exhaustive_worst(
         span = (m + 1) ** length
         for start in range(0, span, _CHUNK):
             tasks.append(
-                (length, start, min(start + _CHUNK, span), m, caps.caps,
+                (length, start, min(start + _CHUNK, span), caps.caps,
                  profile.weights, bound, state_cap)
             )
 
@@ -218,17 +215,9 @@ def exhaustive_worst(
     else:
         results = [_scan_range(*task) for task in tasks]
 
-    best: Scored | None = None
-    falsifier: Scored | None = None
-    evaluated = 0
-    for chunk_best, chunk_count, chunk_falsifier in results:
-        evaluated += chunk_count
-        falsifier = falsifier or chunk_falsifier
-        if chunk_best is not None and (
-            best is None or chunk_best[0] * best[1] > best[0] * chunk_best[1]
-        ):
-            best = chunk_best
-    return _result((best, evaluated, falsifier), bound)
+    best = max((b for b, _, _ in results if b), key=lambda s: Fraction(s[0], s[1]), default=None)
+    falsifier = next((f for _, _, f in results if f), None)
+    return _result((best, sum(c for _, c, _ in results), falsifier), bound)
 
 
 def random_trace(rng: random.Random, m: int, length: int) -> Trace:

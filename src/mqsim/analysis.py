@@ -174,8 +174,13 @@ def check_surplus_monotonicity(
     Between consecutive sends s_{j-1} and s_j (s_0 is the null event),
     xi_h may not drop when (a) greedy had any packet of class >= h buffered
     just after s_{j-1} (checked for j >= 2), or (b) the optimal schedule's
-    class-h queue was empty just after s_{j-1} (checked for j >= 1).
+    class-h queue was empty just after s_{j-1} (checked for j >= 1).  Raises
+    LedgerMismatch unless the ledgers and xi have one column per event of
+    `trace` plus the null entry.
     """
+    n = len(trace.events)
+    if cols := {len(greedy.occupancy[0]), len(opt.occupancy[0]), *map(len, xi)} - {n + 1}:
+        raise LedgerMismatch(f"event counts differ: {n} vs {min(cols) - 1}")
     sends = [0, *compress(count(1), map(not_, trace.events))]  # SEND is the only falsy event
     backlogged = opt_empty = (None, None)  # (h, e) of each statement's first failure
     at_sends, g_occ = itemgetter(*sends), greedy.occupancy

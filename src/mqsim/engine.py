@@ -77,13 +77,13 @@ def check_inputs(trace: Trace, caps: QueueCapacities, profile: ValueProfile) -> 
         )
 
 
-def greedy_schedule(events: tuple[int, ...], caps: tuple[int, ...], m: int) -> list[int | None]:
+def greedy_schedule(events: tuple[int, ...], caps: tuple[int, ...]) -> list[int | None]:
     """Greedy's class at each send (None: idle): accept whenever there is a
     vacancy, transmit from the highest-indexed nonempty queue, idle only when
     all queues are empty.  Arrival classes must already be checked.  Bit c-1
     of `nonempty` is set while class c's queue holds a packet, so the top
     nonempty class is its bit length."""
-    q = [0] * m
+    q = [0] * len(caps)
     nonempty = 0
     choices: list[int | None] = []
     for ev in events:
@@ -144,7 +144,7 @@ def run_greedy(
 ) -> tuple[Ledger, Schedule]:
     """Simulate the greedy policy: replay `greedy_schedule`, checking diligence."""
     check_inputs(trace, caps, profile)
-    schedule = Schedule(tuple(greedy_schedule(trace.events, caps.caps, profile.m)))
+    schedule = Schedule(tuple(greedy_schedule(trace.events, caps.caps)))
     return _run(trace, caps, profile, schedule.choices), schedule
 
 
@@ -158,10 +158,10 @@ def replay_schedule(
     return _run(trace, caps, profile, schedule.choices)
 
 
-def greedy_transmit_counts(events: tuple[int, ...], caps: tuple[int, ...], m: int) -> list[int]:
+def greedy_transmit_counts(events: tuple[int, ...], caps: tuple[int, ...]) -> list[int]:
     """Per-class transmission counts of greedy, without building a ledger."""
-    choices = greedy_schedule(events, caps, m)
-    return list(map(choices.count, range(1, m + 1)))
+    choices = greedy_schedule(events, caps)
+    return list(map(choices.count, range(1, len(caps) + 1)))
 
 
 def ledger_to_tsv(trace: Trace, ledger: Ledger) -> str:

@@ -21,6 +21,11 @@ A step is a pure function of (event, layer) at a given width, so a width whose
 layers fit in 512 bits also keeps a memo of up to 4,096 steps, shared across
 calls like the send tails: small state spaces repeat a few hundred steps.
 
+The state space is built once per (caps, weights) and memoized behind one
+size guard, `_state_space`.  A traced run's `opt.dp_cells` (states x events
+per call) counts the cells a call covers, including those served from the
+send tails and the memo, not the cells computed.
+
 `opt_bruteforce` is the independent oracle: plain recursion over every
 diligent choice, no shared state machinery, Fraction arithmetic throughout.
 """
@@ -41,9 +46,10 @@ DEFAULT_STATE_CAP = 10**7
 
 # Step memos: only for layers of at most 512 bits (at 400 states x 10 bits,
 # 7,592 of the 9,731 steps of a 250-sample random search at (1,3,4,10)/4,3,4,3,
-# seed 1, are distinct), and at most 4,096 steps per width, which holds the
-# largest working set measured (4,449 steps over two widths, exhaustive
-# (1,3,4,10)/2,1,2,1 at max-len 8).
+# seed 1, are distinct, while exhaustive (1,2,5)/1,1,1 at max-len 9 takes
+# 480,606 steps through 924 distinct ones), and at most 4,096 steps per width,
+# which holds the largest working set measured (4,449 steps over two widths,
+# exhaustive (1,3,4,10)/2,1,2,1 at max-len 8).
 _MEMO_BITS = 512
 _MEMO_CAP = 4096
 
@@ -97,11 +103,11 @@ class _StateSpace:
         `keep` when it is a list."""
         n = len(events)
         packed = self.packing(n - events.count(SEND))
-        tail, send, arrive, memo = packed.tail, packed.send, packed.arrive, packed.memo
+        tail, step, memo = packed.tail, packed.step, packed.memo
         run = next(compress(count(), reversed(events)), n)  # the final run of sends
         top = min(run, self.drain)
         while len(tail) <= top:
-            tail.append(send(tail[-1]))
+            tail.append(packed.send(tail[-1]))
         val = tail[top]
         if keep is not None:
             keep += tail[:top]
@@ -109,18 +115,14 @@ class _StateSpace:
         body = reversed(events[: n - run])
         if memo is None:
             for ev in body:
-                if ev == SEND:
-                    val = send(val)
-                else:
-                    shift, ok, adm = arrive[ev - 1]  # admitting s takes field s + e_c, + w_c
-                    val = (val ^ ((val ^ (val >> shift)) & ok)) + adm
+                val = step(ev, val)
                 if keep is not None:
                     keep.append(val)
             return val, packed
         for ev in body:
             nxt = memo[ev].get(val)
             if nxt is None:
-                nxt = packed.step(ev, val)
+                nxt = step(ev, val)
                 if sum(map(len, memo)) < _MEMO_CAP:  # a full memo still serves hits
                     memo[ev][val] = nxt
             val = nxt

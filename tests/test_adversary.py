@@ -209,9 +209,7 @@ class TestPruningSoundness:
                 for index in range((m + 1) ** length):
                     raw = adversary._decode(index, length, m)
                     drained = adversary._drain_events(raw)
-                    scored = adversary._evaluate(
-                        drained, caps.caps, profile.weights, space
-                    )
+                    scored = adversary._evaluate(drained, space)
                     if scored is not None:
                         o, g = scored
                         best = max(best, Fraction(o, g))

@@ -15,6 +15,7 @@ from mqsim.analysis import (
     check_coefficient_signs,
     check_delta_chain,
     check_phi_nonneg,
+    check_surplus_monotonicity,
     check_u_bounds,
     check_xi_nonneg,
     compute_delta,
@@ -35,6 +36,7 @@ from mqsim.model import (
     Trace,
     append_drain,
     compute_c,
+    parse_trace,
     validate_profile,
 )
 from mqsim.opt import opt_search
@@ -109,6 +111,27 @@ class TestXi:
         other, _ = run_greedy(Trace((SEND,)), caps, profile)
         with pytest.raises(LedgerMismatch):
             compute_xi(greedy_ledger, other)
+
+
+class TestSurplusMonotonicity:
+    @pytest.mark.parametrize("trace_text, message", [
+        ("A 1\nA 2\nS\nA 1\nS\nS\n" + "S\n" * 5, "event counts differ: 11 vs 6"),
+        ("A 1\nA 2\nS\n", "event counts differ: 3 vs 6"),
+    ])
+    def test_trace_must_match_the_ledgers(self, two_class, witness, trace_text, message):
+        # a longer trace used to index past the rows; a prefix was read against them
+        profile, caps = two_class
+        greedy_ledger, opt_ledger = ledger_pair(witness, caps, profile)
+        xi = compute_xi(greedy_ledger, opt_ledger)
+        with pytest.raises(LedgerMismatch, match=message):
+            check_surplus_monotonicity(parse_trace(trace_text), greedy_ledger, opt_ledger, xi)
+
+    def test_xi_must_match_the_ledgers(self, two_class, witness):
+        profile, caps = two_class
+        greedy_ledger, opt_ledger = ledger_pair(witness, caps, profile)
+        xi = compute_xi(greedy_ledger, opt_ledger)
+        with pytest.raises(LedgerMismatch, match="event counts differ: 6 vs 5"):
+            check_surplus_monotonicity(witness, greedy_ledger, opt_ledger, (xi[0][:-1],))
 
 
 class TestPhi:

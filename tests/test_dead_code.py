@@ -7,6 +7,10 @@ names and each class's private methods, and every name that `src/` reads: a
 loaded name, an attribute, or a name imported from a module.  A definition is
 not a read, so a private function that nothing calls is flagged.  Tests may
 import private names too, but that does not keep one alive.
+
+A second scan flags a parameter that its function or lambda never reads: a
+fact passed beside the argument that already holds it (a class count beside
+the caps that fix it) is one a caller can get wrong.
 """
 
 from __future__ import annotations
@@ -57,6 +61,26 @@ def unread_private_names(root: Path = SRC) -> list[tuple[str, str]]:
     return [(module, name) for module, name in defined if name not in read]
 
 
+def unread_parameters(root: Path = SRC) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) of each parameter of a function or lambda
+    that its body never reads; `self` and `cls` are skipped.  A read in a
+    nested function or lambda counts, so a parameter a closure uses is live."""
+    unread = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [(path.name, name, p.arg) for p in params
+                       if p.arg not in read and p.arg not in ("self", "cls")]
+    return unread
+
+
 def test_every_private_name_is_read_in_src():
     assert unread_private_names() == []
 
@@ -72,3 +96,19 @@ def test_the_scan_flags_unread_private_names(tmp_path):
     (tmp_path / "b.py").write_text("def _imported():\n    pass\n")
     assert unread_private_names(tmp_path) == [
         ("a.py", "_unused"), ("a.py", "_dead"), ("a.py", "_Unused"), ("a.py", "_method")]
+
+
+def test_every_parameter_is_read_in_src():
+    assert unread_parameters() == []
+
+
+def test_the_scan_flags_unread_parameters(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def evaluate(events, caps, space):\n    return space.run(events)\n"
+        "def outer(x, *args, y, **kwargs):\n    return lambda z: x + len(args)\n"
+        "class C:\n    def method(self, v):\n        return v\n"
+        "    @classmethod\n    def make(cls, unused=0):\n        return cls()\n"
+    )
+    assert unread_parameters(tmp_path) == [
+        ("a.py", "evaluate", "caps"), ("a.py", "outer", "y"), ("a.py", "outer", "kwargs"),
+        ("a.py", "make", "unused"), ("a.py", "<lambda>", "z")]

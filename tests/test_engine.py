@@ -209,8 +209,8 @@ class TestFastPath:
         profile, caps, trace = instance
         m = profile.m
         _, expected = oracle.run_entries(trace, caps, profile, None)
-        assert tuple(greedy_schedule(trace.events, caps.caps, m)) == expected.choices
-        counts = greedy_transmit_counts(trace.events, caps.caps, m)
+        assert tuple(greedy_schedule(trace.events, caps.caps)) == expected.choices
+        counts = greedy_transmit_counts(trace.events, caps.caps)
         assert counts == oracle.transmit_counts(trace.events, caps.caps, m)
         assert tuple(counts) == last(run_greedy(trace, caps, profile)[0].transmitted)
 

@@ -87,7 +87,7 @@ def kept_by_scan_range(start, stop, length, m):
     """The indices `_scan_range` hands to the scan, in order, read back from
     the raw strings it drains (the caller makes draining and scanning pass
     them through)."""
-    raws, _, _ = adversary._scan_range(length, start, stop, m, (1,) * m, tuple(range(1, m + 1)),
+    raws, _, _ = adversary._scan_range(length, start, stop, (1,) * m, tuple(range(1, m + 1)),
                                        Fraction(2), 10**7)
     kept = []
     for raw in raws:
@@ -124,7 +124,8 @@ def greedy_inputs(draw):
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(greedy_inputs())
 def test_greedy_schedule_matches_class_scan(instance):
-    assert greedy_schedule(*instance) == scan_greedy_schedule(*instance)
+    events, caps, m = instance
+    assert greedy_schedule(events, caps) == scan_greedy_schedule(events, caps, m)
 
 
 @st.composite

@@ -1,4 +1,5 @@
-"""Byte-exact stdout, stderr and exit codes of the README commands and demos.
+"""Byte-exact stdout, stderr and exit codes of the README commands and demos,
+and the printed line of the README's `python` block.
 
 Each case runs in-process: a CLI case through `mqsim.cli.main`, a demo through
 `runpy` as `__main__`.  The expected output is in `tests/golden/<case>.stdout`
@@ -9,6 +10,7 @@ with `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 from __future__ import annotations
 
 import io
+import re
 import runpy
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -38,6 +40,7 @@ CASES = [
     ("demo_bounds_tour", "bounds_tour.py", 0),
     ("demo_trace_walkthrough", "trace_walkthrough.py", 0),
     ("demo_verification_report", "verification_report.py", 0),
+    ("demo_worst_case_hunt", "worst_case_hunt.py", 0),
 ]
 
 
@@ -60,6 +63,14 @@ def test_golden_output(case, command, expected_code, tmp_path):
     assert code == expected_code
     assert out == (GOLDEN / f"{case}.stdout").read_text()
     assert err == (GOLDEN / f"{case}.stderr").read_text()
+
+
+def test_readme_library_block():
+    [block] = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue() == "1 3/2 True\n"
 
 
 if __name__ == "__main__":

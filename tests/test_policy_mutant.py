@@ -27,7 +27,8 @@ from mqsim.model import QueueCapacities, SEND, append_drain, parse_trace, valida
 from mqsim.opt import OptResult, opt_search as real_opt_search
 
 
-def lowest_class_first(events, caps, m):
+def lowest_class_first(events, caps):
+    m = len(caps)
     q = [0] * m
     choices = []
     for ev in events:
@@ -137,7 +138,7 @@ def test_aggregate_deficit_off_by_two_turns_false(monkeypatch):
 def lowest_class_optimum(trace, caps, profile, state_cap):
     """`opt_search` that reports the optimum's value but serves the lowest class."""
     value = real_opt_search(trace, caps, profile, state_cap=state_cap).benefit
-    choices = lowest_class_first(trace.events, caps.caps, profile.m)
+    choices = lowest_class_first(trace.events, caps.caps)
     return OptResult(value, Schedule(tuple(choices)))
 
 
