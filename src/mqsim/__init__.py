@@ -12,7 +12,6 @@ from .adversary import (
 )
 from .analysis import (
     ComparativeReport,
-    LedgerMismatch,
     MTooSmall,
     Verdict,
     check_D_bounds,
@@ -34,6 +33,7 @@ from .engine import (
     ClassOutOfRange,
     DiligenceViolation,
     Ledger,
+    LedgerMismatch,
     Schedule,
     ledger_to_tsv,
     replay_schedule,

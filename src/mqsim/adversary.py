@@ -28,6 +28,7 @@ from .model import (
     SEND,
     Trace,
     ValueProfile,
+    _drain_events,
     compute_c,
     trace_to_text,
 )
@@ -95,10 +96,6 @@ def _decode(index: int, length: int, m: int) -> tuple[int, ...]:
     base, high, low = words
     hi, lo = divmod(index, base)
     return high[hi] + low[lo]
-
-
-def _drain_events(events: tuple[int, ...]) -> tuple[int, ...]:
-    return events + (SEND,) * (len(events) - events.count(SEND))
 
 
 Scored = tuple[int, int, tuple[int, ...]]  # (opt, greedy, drained events)

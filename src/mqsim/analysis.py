@@ -7,8 +7,9 @@ and the competitive-ratio bound itself.  All comparisons are exact.
 
 `verify_all` calls the public checkers, one function per verdict; end-of-trace
 checkers take end-of-trace vectors (A, D, the tail sums S and S*, U).  The bound
-and the delta coefficients are cached per profile.  Checks read whole rows in
-C-level passes, and a failure's (h, e) is looked up only when the check fails.
+and the delta coefficients share one cache entry per profile.  Checks read whole
+rows in C-level passes, and a failure's (h, e) is looked up only when the check
+fails.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import add, eq, itemgetter, le, lt, mul, not_, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .engine import Ledger, run_greedy, replay_schedule
+from .engine import Ledger, LedgerMismatch, check_columns, run_greedy, replay_schedule
 from .model import (
     MQSimError,
     QueueCapacities,
@@ -32,10 +33,6 @@ from .model import (
 from .opt import DEFAULT_STATE_CAP, opt_search
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-class LedgerMismatch(MQSimError):
-    pass
 
 
 class MTooSmall(MQSimError):
@@ -178,9 +175,7 @@ def check_surplus_monotonicity(
     LedgerMismatch unless the ledgers and xi have one column per event of
     `trace` plus the null entry.
     """
-    n = len(trace.events)
-    if cols := {len(greedy.occupancy[0]), len(opt.occupancy[0]), *map(len, xi)} - {n + 1}:
-        raise LedgerMismatch(f"event counts differ: {n} vs {min(cols) - 1}")
+    check_columns(trace, greedy.occupancy[0], opt.occupancy[0], *xi)
     sends = [0, *compress(count(1), map(not_, trace.events))]  # SEND is the only falsy event
     backlogged = opt_empty = (None, None)  # (h, e) of each statement's first failure
     at_sends, g_occ = itemgetter(*sends), greedy.occupancy
@@ -285,7 +280,6 @@ class _Coefficients(NamedTuple):
     signs: Verdict
 
 
-@lru_cache(maxsize=64)
 def _coefficients(profile: ValueProfile, c_star: Fraction) -> _Coefficients:
     p, q = c_star.numerator, c_star.denominator
     w = (0,) + profile.weights
@@ -332,7 +326,7 @@ def compute_delta(
 
 def check_coefficient_signs(profile: ValueProfile, c_star: Fraction) -> Verdict:
     """(v_i + T_i) - c_star * (v_{i+1} + T_i) <= 0 for every i in [1, m-1];
-    checked once per (profile, c_star) in integers scaled by q * scale."""
+    checked in integers scaled by q * scale."""
     return _coefficients(profile, c_star).signs
 
 

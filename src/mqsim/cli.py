@@ -41,7 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_caps: bool = True):
+    def command(name, func, summary, with_caps=True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--values", nargs="+", metavar="V",
                        help="class values, ascending, as p or p/q")
         if with_caps:
@@ -53,23 +55,15 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                            help="cap on offline-optimum DP cells; a cell is one "
                            "state at one event, in 64-bit words of its field")
+        return p
 
-    p_sim = sub.add_parser("simulate", help="run greedy and the offline optimum on a trace")
-    add_common(p_sim)
+    p_sim = command("simulate", cmd_simulate, "run greedy and the offline optimum on a trace")
     p_sim.add_argument("--trace", required=True, metavar="FILE")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="check every counter identity and bound on a trace")
-    add_common(p_ver)
+    p_ver = command("verify", cmd_verify, "check every counter identity and bound on a trace")
     p_ver.add_argument("--trace", required=True, metavar="FILE")
-    p_ver.set_defaults(func=cmd_verify)
+    command("bound", cmd_bound, "print the closed-form bound constants", with_caps=False)
 
-    p_bound = sub.add_parser("bound", help="print the closed-form bound constants")
-    add_common(p_bound, with_caps=False)
-    p_bound.set_defaults(func=cmd_bound)
-
-    p_search = sub.add_parser("search", help="search traces for the worst ratio")
-    add_common(p_search)
+    p_search = command("search", cmd_search, "search traces for the worst ratio")
     p_search.add_argument("--max-len", type=int, metavar="N",
                           help="exhaustive: maximum raw string length "
                           "(random: sampled string length)")
@@ -81,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="exhaustive mode: max raw strings enumerated")
     p_search.add_argument("--jobs", type=int, default=None, metavar="N",
                           help="exhaustive mode: worker processes (default 1)")
-    p_search.set_defaults(func=cmd_search)
 
     return parser
 
@@ -110,10 +103,8 @@ def _load_profile_caps(args) -> tuple[ValueProfile, QueueCapacities]:
 def _load_trace(args) -> Trace:
     trace = parse_trace(Path(args.trace).read_text())
     if not trace.drained:
-        drained = append_drain(trace)
-        appended = len(drained.events) - len(trace.events)
-        print(f"note: trace auto-drained ({appended} sends appended)", file=sys.stderr)
-        return drained
+        print(f"note: trace auto-drained ({trace.arrivals} sends appended)", file=sys.stderr)
+        return append_drain(trace)
     return trace
 
 

@@ -15,12 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import lt
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile
 
 
 class ClassOutOfRange(MQSimError):
+    pass
+
+
+class LedgerMismatch(MQSimError):
     pass
 
 
@@ -75,6 +79,12 @@ def check_inputs(trace: Trace, caps: QueueCapacities, profile: ValueProfile) -> 
         raise ClassOutOfRange(
             f"trace arrives class {trace.max_class} but profile has m={profile.m}"
         )
+
+
+def check_columns(trace: Trace, *rows: Sequence[int]) -> None:
+    """Reject rows without one column per event of `trace` plus the null entry."""
+    if cols := set(map(len, rows)) - {len(trace.events) + 1}:
+        raise LedgerMismatch(f"event counts differ: {len(trace.events)} vs {min(cols) - 1}")
 
 
 def greedy_schedule(events: tuple[int, ...], caps: tuple[int, ...]) -> list[int | None]:
@@ -170,7 +180,12 @@ def ledger_to_tsv(trace: Trace, ledger: Ledger) -> str:
     Each action is read off the counter its event moved: an arrival of class c
     is `accept c` when class c's accepted count rose, else `reject c`; a send
     is `transmit c` for the class whose transmitted count rose, else `idle`.
+    Raises LedgerMismatch unless `ledger` was recorded over `trace`'s events
+    and classes.
     """
+    check_columns(trace, *ledger.accepted, *ledger.transmitted, *ledger.occupancy)
+    if trace.max_class > len(ledger.accepted):
+        raise LedgerMismatch("class counts differ")
     acc, tx, q = (list(zip(*rows)) for rows in ledger[:3])  # one tuple per column
     lines = ["# event\tkind\taction\tA\tdelta\tq"]
     for i, ev in enumerate((None, *trace.events)):

@@ -2,14 +2,15 @@
 
 All arithmetic is exact: class values are `fractions.Fraction`, counters are
 ints, and every derived bound is a Fraction.  Floats are rejected on input so
-that no inequality check ever depends on rounding.
+that no inequality check ever depends on rounding.  `parse_trace` reads each
+line once, and `Trace` checks its events in one C-level pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -99,7 +100,7 @@ class ValueProfile:
             if lo >= hi:
                 raise NotIncreasing(f"values must be strictly increasing: {lo} >= {hi}")
 
-    def __hash__(self) -> int:  # once per profile, not per lru_cache lookup (compute_c, ...)
+    def __hash__(self) -> int:  # once per profile, not per `_profile_constants` lookup
         return self._hash
 
     @cached_property
@@ -187,16 +188,15 @@ class Trace:
     def sends(self) -> int:
         return self.events.count(SEND)
 
-    def __len__(self) -> int:
-        return len(self.events)
+
+def _drain_events(events: tuple[Event, ...]) -> tuple[Event, ...]:
+    """`events` with one trailing send appended per arrival."""
+    return events + (SEND,) * (len(events) - events.count(SEND))
 
 
 def append_drain(trace: Trace) -> Trace:
     """Append one trailing send per arrival so every diligent policy ends empty."""
-    k = trace.arrivals
-    if k == 0:
-        return trace
-    return Trace(trace.events + (SEND,) * k)
+    return Trace(_drain_events(trace.events))
 
 
 def parse_trace(text: str) -> Trace:
@@ -246,18 +246,21 @@ class BoundReport:
     """
 
     c: tuple[Fraction, ...]
-    c_star: Fraction
-    upper: Fraction
     abs_lower: Fraction
 
     def __post_init__(self):
-        for ci in self.c:
-            if not 0 < ci < 1:
-                raise MQSimError(f"c_i out of (0,1): {ci}")
-        if self.c_star != max(self.c):
-            raise MQSimError("c_star is not max(c)")
-        if self.upper != 1 + self.c_star:
-            raise MQSimError("upper is not 1 + c_star")
+        if not self.c:  # c_star = max(c) needs one c_i
+            raise MQSimError("c is empty")
+        if bad := [ci for ci in self.c if not 0 < ci < 1]:
+            raise MQSimError(f"c_i out of (0,1): {bad[0]}")
+
+    @property
+    def c_star(self) -> Fraction:
+        return max(self.c)
+
+    @property
+    def upper(self) -> Fraction:
+        return 1 + self.c_star
 
 
 def doubling_tail(values: Sequence[Fraction], i: int) -> Fraction:
@@ -265,18 +268,15 @@ def doubling_tail(values: Sequence[Fraction], i: int) -> Fraction:
     return sum(((2 ** (j - 1)) * values[i - j - 1] for j in range(1, i)), Fraction(0))
 
 
-@lru_cache(maxsize=64)
 def compute_c(profile: ValueProfile) -> BoundReport:
     """Exact bound constants: c_i = (v_i + T_i) / (v_{i+1} + T_i) with
-    T_i the doubling-weighted tail of earlier values.  Memoized per profile."""
+    T_i the doubling-weighted tail of earlier values."""
     v = profile.values
     c = []
     for i in range(1, profile.m):
         tail = doubling_tail(v, i)
         c.append((v[i - 1] + tail) / (v[i] + tail))
-    c_star = max(c)
-    abs_lower = 2 - v[-1] / sum(v)
-    return BoundReport(c=tuple(c), c_star=c_star, upper=1 + c_star, abs_lower=abs_lower)
+    return BoundReport(c=tuple(c), abs_lower=2 - v[-1] / sum(v))
 
 
 def recurrence_values(m: int, doubled: bool = False) -> tuple[Fraction, ...]:

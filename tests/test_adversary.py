@@ -156,12 +156,7 @@ class TestFalsification:
         # Shrink the bound the search checks against; the 4/3 witness must
         # now trip the falsification path instead of being clamped.
         profile, caps = two_class
-        fake = BoundReport(
-            c=(Fraction(1, 4),),
-            c_star=Fraction(1, 4),
-            upper=Fraction(5, 4),
-            abs_lower=Fraction(9, 8),
-        )
+        fake = BoundReport(c=(Fraction(1, 4),), abs_lower=Fraction(9, 8))
         monkeypatch.setattr(adversary, "compute_c", lambda _: fake)
         with pytest.raises(BoundFalsified) as exc:
             exhaustive_worst(profile, caps, max_len=6)

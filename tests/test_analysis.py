@@ -112,6 +112,13 @@ class TestXi:
         with pytest.raises(LedgerMismatch):
             compute_xi(greedy_ledger, other)
 
+    def test_class_count_mismatch(self, two_class, three_class, witness):
+        greedy_ledger, _ = run_greedy(witness, two_class[1], two_class[0])
+        other, _ = run_greedy(witness, three_class[1], three_class[0])
+        with pytest.raises(LedgerMismatch) as exc:
+            compute_xi(greedy_ledger, other)
+        assert str(exc.value) == "class counts differ"
+
 
 class TestSurplusMonotonicity:
     @pytest.mark.parametrize("trace_text, message", [
@@ -228,6 +235,17 @@ class TestUBounds:
 
     def test_recursion_zeros(self):
         assert u_recursion((0, 0, 0, 0)) == (0, 0, 0)
+
+    @pytest.mark.parametrize("form", [u_recursion, u_explicit])
+    def test_needs_two_classes(self, form):
+        with pytest.raises(MTooSmall) as exc:
+            form((1,))
+        assert str(exc.value) == "need m >= 2, got 1"
+
+    def test_candidates_reject_h_out_of_range(self):
+        with pytest.raises(ValueError) as exc:
+            u_candidates(3, 0)
+        assert str(exc.value) == "h must be in [1, 2], got 0"
 
     def test_explicit_m3(self):
         # h=1 candidates are S2+S3 = 3 and S1 = 4.

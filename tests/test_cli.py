@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import runpy
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from mqsim.model import Trace
 
 
 WITNESS = "A 1\nA 2\nS\nA 1\nS\nS\n"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -107,6 +112,14 @@ class TestVerify:
         assert code == 0
         assert "verdict ratio_bound true" in out
 
+    def test_config_with_caps_exit_2(self, witness_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("values: 1 2\ncapacities: 1 1\n")
+        code, out, err = run(
+            ["verify", "--config", str(cfg), "--caps", "1", "1", "--trace", witness_file], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: give either --config or --values/--caps, not both\n"
+
     def test_config_repeated_key_exit_2(self, witness_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("values: 1 2\nvalues: 1 3 4\ncapacities: 1 1 1\n")
@@ -180,6 +193,28 @@ class TestBound:
         assert "note:" in out
         assert "1/2" in out
 
+    def test_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("values: 1 2 5\ncapacities: 1 1 1\n")
+        code, out, err = run(["bound", "--config", str(cfg)], capsys)
+        assert (code, err) == (0, "")
+        assert out == "c: 1/2,1/2\nc*=1/2 upper=3/2 lower=11/8\n"
+
+    def test_no_profile_exit_2(self, capsys):
+        code, out, err = run(["bound"], capsys)
+        assert (code, out, err) == (2, "", "error: need --values or --config\n")
+
+    def test_module_entry_point(self, capsys, monkeypatch):
+        # `python -m mqsim.cli` exits with main's code
+        monkeypatch.setattr(sys, "argv", ["mqsim", "bound", "--values", "1", "2"])
+        with warnings.catch_warnings():
+            # mqsim.cli is already imported; running it again as __main__ is intended
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("mqsim.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (GOLDEN / "bound.stdout").read_text()
+
     def test_invalid_profile_exit_2(self, capsys):
         code, _, err = run(["bound", "--values", "2", "1"], capsys)
         assert code == 2
@@ -233,6 +268,11 @@ class TestSearch:
              "--samples", "10"], capsys)
         assert code == 2
         assert "seed" in err
+
+    def test_needs_a_mode_exit_2(self, capsys):
+        code, out, err = run(["search", "--values", "1", "2", "--caps", "1", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: need --max-len (exhaustive) or --samples with --seed\n"
 
     def test_budget_exit_3(self, capsys):
         code, _, _ = run(

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 import ledger_oracle as oracle
+import mqsim
+import mqsim.analysis
 from conftest import columns, instances, last, replay_all
 from mqsim.engine import (
     ClassOutOfRange,
     DiligenceViolation,
     Ledger,
+    LedgerMismatch,
     Schedule,
     greedy_schedule,
     greedy_transmit_counts,
@@ -240,3 +243,20 @@ class TestLedgerDump:
             "5\tsend\ttransmit 1\t1,1\t1,1\t0,0\n"
             "6\tsend\tidle\t1,1\t1,1\t0,0\n"
         )
+
+    def test_mismatch_error_is_exported(self):
+        assert mqsim.LedgerMismatch is mqsim.analysis.LedgerMismatch is LedgerMismatch
+
+    @pytest.mark.parametrize("trace_text, message", [
+        ("A 1\nA 2\nS\nA 1\nS\nS\nA 1\nS\n", "event counts differ: 8 vs 6"),
+        ("A 1\nA 2\nS\n", "event counts differ: 3 vs 6"),
+        ("A 1\nA 3\nS\nA 1\nS\nS\n", "class counts differ"),
+    ])
+    def test_trace_must_match_the_ledger(self, two_class, witness, trace_text, message):
+        # unchecked, a longer trace indexes past the rows, a prefix is dumped
+        # without error, and a class above m indexes past the columns
+        profile, caps = two_class
+        ledger, _ = run_greedy(witness, caps, profile)
+        with pytest.raises(LedgerMismatch) as exc:
+            ledger_to_tsv(parse_trace(trace_text), ledger)
+        assert str(exc.value) == message

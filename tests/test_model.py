@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,11 @@ import pytest
 from conftest import last
 from mqsim.engine import run_greedy
 from mqsim.model import (
+    BadCapacity,
     BadClassIndex,
+    BoundReport,
     ConfigError,
+    MQSimError,
     NonPositiveValue,
     NotIncreasing,
     QueueCapacities,
@@ -18,6 +22,7 @@ from mqsim.model import (
     Trace,
     TraceSyntaxError,
     append_drain,
+    as_rational,
     compute_c,
     doubling_tail,
     matches_recurrence,
@@ -56,6 +61,11 @@ class TestValidateProfile:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             validate_profile([0.5, 2])
+
+    def test_other_types_rejected(self):
+        with pytest.raises(TypeError) as exc:
+            as_rational([1])
+        assert str(exc.value) == "exact rational required, got list"
 
     def test_string_rationals(self):
         profile = validate_profile(["1/3", "1/2", "2"])
@@ -100,6 +110,19 @@ class TestComputeC:
         assert report.c_star == Fraction(3, 4)
         assert report.upper == Fraction(7, 4)
 
+    def test_report_derives_c_star_and_upper_from_c(self):
+        report = BoundReport(c=(Fraction(1, 3), Fraction(3, 5)), abs_lower=Fraction(1))
+        assert [f.name for f in fields(BoundReport)] == ["c", "abs_lower"]
+        assert (report.c_star, report.upper) == (Fraction(3, 5), Fraction(8, 5))
+
+    def test_report_rejects_c_outside_open_unit_interval(self):
+        with pytest.raises(MQSimError) as exc:
+            BoundReport(c=(Fraction(1),), abs_lower=Fraction(4, 3))
+        assert str(exc.value) == "c_i out of (0,1): 1"
+        with pytest.raises(MQSimError) as exc:
+            BoundReport(c=(), abs_lower=Fraction(4, 3))
+        assert str(exc.value) == "c is empty"
+
     def test_chain_property_random_profiles(self):
         # 0 < c_i < 1, hence 1 < 1+c* < 2, and 1+c* >= 1+c_{m-1} > abs_lower.
         rng = random.Random(11)
@@ -122,6 +145,11 @@ class TestRecurrences:
 
     def test_doubled_sequence(self):
         assert recurrence_values(4, doubled=True) == (1, 2, 5, 14)
+
+    def test_needs_two_classes(self):
+        with pytest.raises(TooFewClasses) as exc:
+            recurrence_values(1)
+        assert str(exc.value) == "need m >= 2, got 1"
 
     def test_doubled_gives_half_everywhere(self):
         report = compute_c(validate_profile(recurrence_values(6, doubled=True)))
@@ -215,6 +243,10 @@ class TestDrained:
 
 
 class TestAppendDrain:
+    def test_arrival_and_send_counts(self):
+        trace = Trace((1, SEND, 2, 3))
+        assert (trace.arrivals, trace.sends) == (3, 1)
+
     def test_one_arrival(self):
         assert append_drain(Trace((1,))).events == (1, SEND)
 
@@ -248,10 +280,13 @@ class TestQueueCapacities:
         assert QueueCapacities((1, 2)).m == 2
 
     def test_zero_rejected(self):
-        from mqsim.model import BadCapacity
-
         with pytest.raises(BadCapacity):
             QueueCapacities((1, 0))
+
+    def test_empty_rejected(self):
+        with pytest.raises(BadCapacity) as exc:
+            QueueCapacities(())
+        assert str(exc.value) == "need at least one capacity"
 
 
 class TestParseConfig:
