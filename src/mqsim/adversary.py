@@ -217,13 +217,29 @@ def exhaustive_worst(
     return _result((best, sum(c for _, c, _ in results), falsifier), bound)
 
 
+def _random_events(rng: random.Random, m: int, length: int) -> tuple[int, ...]:
+    """`random_trace`'s events.  A class is drawn as `rng.randint(1, m)` draws
+    it on CPython 3.10-3.12: `m.bit_length()` random bits, redrawn while they
+    read m or more."""
+    coin, bits, k = rng.random, rng.getrandbits, m.bit_length()
+    events = []
+    for _ in range(length):
+        if coin() < 0.5:
+            c = bits(k)
+            while c >= m:
+                c = bits(k)
+            events.append(c + 1)
+        else:
+            events.append(SEND)
+    return tuple(events)
+
+
 def random_trace(rng: random.Random, m: int, length: int) -> Trace:
     """Uniform raw event string: each event is an arrival with the fixed
-    probability 1/2 (class uniform in [1, m]), a send otherwise.  Not drained."""
-    events = tuple(
-        rng.randint(1, m) if rng.random() < 0.5 else SEND for _ in range(length)
-    )
-    return Trace(events)
+    probability 1/2 (class uniform in [1, m]), a send otherwise.  Not drained.
+    Each class is exactly what `rng.randint(1, m)` would draw, from the same
+    stream."""
+    return Trace(_random_events(rng, m, length))
 
 
 def random_worst(
@@ -243,5 +259,5 @@ def random_worst(
     rng = random.Random(seed)
     space = _state_space(caps.caps, profile.weights, 2 * length, state_cap)
     bound = compute_c(profile).upper
-    raws = (random_trace(rng, profile.m, length) for _ in range(samples))
-    return _result(_scan((_drain_events(r.events) for r in raws), space, bound), bound, seed)
+    raws = (_random_events(rng, profile.m, length) for _ in range(samples))
+    return _result(_scan(map(_drain_events, raws), space, bound), bound, seed)

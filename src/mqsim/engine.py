@@ -3,18 +3,20 @@
 One replay loop checks diligence and records the ledger of any schedule: per
 class, its accepted, transmitted and occupancy counts after every event.  A
 ledger is only those rows; `ledger_to_tsv` reads each event's action back off
-the counter it moved.  `greedy_schedule` is the only place the online greedy
-policy is written: it yields the schedule that always transmits from the
-highest-indexed nonempty queue, which `run_greedy` replays and the searches
-count.  Admission is never a choice: a diligent policy accepts exactly when the
-destination queue has a vacancy.
+the counter it moved.  `_greedy` is the only place the online greedy policy
+is written: one pass that always transmits from the highest-indexed nonempty
+queue and counts each class's transmissions as it goes.  `greedy_schedule`
+also collects its choices, which `run_greedy` replays; the searches read
+only the counts, through `greedy_transmit_counts`.  Admission is never a
+choice: a diligent policy accepts exactly when the destination queue has a
+vacancy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile
@@ -87,28 +89,39 @@ def check_columns(trace: Trace, *rows: Sequence[int]) -> None:
         raise LedgerMismatch(f"event counts differ: {len(trace.events)} vs {min(cols) - 1}")
 
 
-def greedy_schedule(events: tuple[int, ...], caps: tuple[int, ...]) -> list[int | None]:
-    """Greedy's class at each send (None: idle): accept whenever there is a
-    vacancy, transmit from the highest-indexed nonempty queue, idle only when
-    all queues are empty.  Arrival classes must already be checked.  Bit c-1
-    of `nonempty` is set while class c's queue holds a packet, so the top
-    nonempty class is its bit length."""
+def _greedy(events: tuple[int, ...], caps: tuple[int, ...],
+            choices: list[int | None] | None = None) -> list[int]:
+    """Greedy's per-class transmission counts, appending its class at each
+    send (None: idle) to `choices` when one is given: accept whenever there
+    is a vacancy, transmit from the highest-indexed nonempty queue, idle only
+    when all queues are empty.  Arrival classes must already be checked.
+    Bit c-1 of `nonempty` is set while class c's queue holds a packet, so the
+    top nonempty class is its bit length."""
     q = [0] * len(caps)
+    sent = [0] * len(caps)
     nonempty = 0
-    choices: list[int | None] = []
     for ev in events:
         if ev == SEND:
             if nonempty:
-                c = nonempty.bit_length()
-                q[c - 1] -= 1
-                if not q[c - 1]:
-                    nonempty ^= 1 << c - 1
-                choices.append(c)
-            else:
+                i = nonempty.bit_length() - 1
+                q[i] -= 1
+                sent[i] += 1
+                if not q[i]:
+                    nonempty ^= 1 << i
+                if choices is not None:
+                    choices.append(i + 1)
+            elif choices is not None:
                 choices.append(None)
         elif q[ev - 1] < caps[ev - 1]:
             q[ev - 1] += 1
             nonempty |= 1 << ev - 1
+    return sent
+
+
+def greedy_schedule(events: tuple[int, ...], caps: tuple[int, ...]) -> list[int | None]:
+    """Greedy's class at each send (None: idle), by `_greedy`'s rule."""
+    choices: list[int | None] = []
+    _greedy(events, caps, choices)
     return choices
 
 
@@ -169,9 +182,9 @@ def replay_schedule(
 
 
 def greedy_transmit_counts(events: tuple[int, ...], caps: tuple[int, ...]) -> list[int]:
-    """Per-class transmission counts of greedy, without building a ledger."""
-    choices = greedy_schedule(events, caps)
-    return list(map(choices.count, range(1, len(caps) + 1)))
+    """Per-class transmission counts of greedy, without building a ledger or
+    a schedule."""
+    return _greedy(events, caps)
 
 
 def ledger_to_tsv(trace: Trace, ledger: Ledger) -> str:
@@ -181,22 +194,30 @@ def ledger_to_tsv(trace: Trace, ledger: Ledger) -> str:
     is `accept c` when class c's accepted count rose, else `reject c`; a send
     is `transmit c` for the class whose transmitted count rose, else `idle`.
     Raises LedgerMismatch unless `ledger` was recorded over `trace`'s events
-    and classes.
+    and classes: at an arrival of class c only class c's accepted count may
+    move, at a send only one transmitted count, and either by one.
     """
     check_columns(trace, *ledger.accepted, *ledger.transmitted, *ledger.occupancy)
-    if trace.max_class > len(ledger.accepted):
+    m = len(ledger.accepted)
+    if trace.max_class > m:
         raise LedgerMismatch("class counts differ")
     acc, tx, q = (list(zip(*rows)) for rows in ledger[:3])  # one tuple per column
     lines = ["# event\tkind\taction\tA\tdelta\tq"]
     for i, ev in enumerate((None, *trace.events)):
         if ev is None:
             kind, action = "init", "idle"
-        elif ev == SEND:
-            rose = list(map(lt, tx[i - 1], tx[i]))
-            kind, action = "send", f"transmit {rose.index(True) + 1}" if True in rose else "idle"
         else:
-            took = acc[i - 1][ev - 1] < acc[i][ev - 1]
-            kind, action = f"arrive {ev}", f"{'accept' if took else 'reject'} {ev}"
+            # slot h-1 is class h's accepted count, slot m+h-1 its transmitted count
+            step = (*map(sub, acc[i], acc[i - 1]), *map(sub, tx[i], tx[i - 1]))
+            moved = [k for k, d in enumerate(step) if d]
+            if ev == SEND:
+                kind, slots = "send", range(m, 2 * m)
+                action = f"transmit {moved[0] - m + 1}" if moved else "idle"
+            else:
+                kind, slots = f"arrive {ev}", (ev - 1,)
+                action = f"{'accept' if moved else 'reject'} {ev}"
+            if moved and (len(moved) > 1 or step[moved[0]] != 1 or moved[0] not in slots):
+                raise LedgerMismatch(f"event {i} ({kind}) does not match the ledger's counts")
         counts = (",".join(map(str, col[i])) for col in (acc, tx, q))
         lines.append("\t".join([str(i), kind, action, *counts]))
     return "\n".join(lines) + "\n"

@@ -251,12 +251,29 @@ class TestLedgerDump:
         ("A 1\nA 2\nS\nA 1\nS\nS\nA 1\nS\n", "event counts differ: 8 vs 6"),
         ("A 1\nA 2\nS\n", "event counts differ: 3 vs 6"),
         ("A 1\nA 3\nS\nA 1\nS\nS\n", "class counts differ"),
+        ("A 2\nA 1\nS\nA 1\nS\nS\n", "event 1 (arrive 2) does not match the ledger's counts"),
+        ("A 1\nS\nS\nA 1\nS\nS\n", "event 2 (send) does not match the ledger's counts"),
+        ("A 1\nA 2\nA 2\nA 1\nS\nS\n",
+         "event 3 (arrive 2) does not match the ledger's counts"),
     ])
     def test_trace_must_match_the_ledger(self, two_class, witness, trace_text, message):
         # unchecked, a longer trace indexes past the rows, a prefix is dumped
-        # without error, and a class above m indexes past the columns
+        # without error, a class above m indexes past the columns, and a
+        # trace of the same shape is dumped with actions its rows contradict
         profile, caps = two_class
         ledger, _ = run_greedy(witness, caps, profile)
         with pytest.raises(LedgerMismatch) as exc:
             ledger_to_tsv(parse_trace(trace_text), ledger)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("transmitted", [
+        ((0, 0, 0, 1, 1, 1, 1), (0, 0, 0, 1, 1, 1, 1)),  # both classes at send 3
+        ((0, 0, 0, 0, 0, 1, 1), (0, 0, 0, 2, 2, 2, 2)),  # class 2 by two at send 3
+        ((0, 0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 1, 0, 0)),  # class 2 falls at send 5
+    ])
+    def test_send_moves_one_transmitted_count_by_one(self, two_class, witness, transmitted):
+        profile, caps = two_class
+        ledger, _ = run_greedy(witness, caps, profile)
+        assert ledger.transmitted == ((0, 0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 1, 1, 1))
+        with pytest.raises(LedgerMismatch, match=r"\(send\) does not match"):
+            ledger_to_tsv(witness, ledger._replace(transmitted=transmitted))

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "mqsim"
 # (module, enclosing function, construct) -> how many times it may appear
 ALLOWED = Counter({
     # the sampler's fair coin; exact verdicts never read it
-    ("adversary.py", "random_trace", "float literal 0.5"): 1,
+    ("adversary.py", "_random_events", "float literal 0.5"): 1,
     # rejects float input
     ("model.py", "as_rational", "name float"): 1,
     # integer-only helpers

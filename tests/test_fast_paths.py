@@ -4,8 +4,11 @@
 tables; `divmod_decode` below peels one base-(m+1) digit at a time.
 `adversary._scan_range` keeps candidates by their index; `kept_by_predicate`
 keeps them by the decoded string, as the scan did before.
-`engine.greedy_schedule` finds the top nonempty class from a bitmask;
-`scan_greedy_schedule` scans the classes from the top.  `best_scaled` and
+`engine._greedy` finds the top nonempty class from a bitmask;
+`scan_greedy_schedule` scans the classes from the top.  `greedy_transmit_counts`
+counts greedy's transmissions as it goes; `counts_from_schedule` counts each
+class in greedy's schedule afterwards.  `random_trace` draws a class from
+`getrandbits`; `randint_events` draws it with `randint`.  `best_scaled` and
 `tables` run one backward fold, keeping no layers and every layer; on small
 state spaces it serves steps from each packing's transition memo, and
 `fold_oracle` is that fold without the memo.
@@ -21,9 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 import mqsim.adversary as adversary
 import mqsim.opt as opt
-from mqsim.adversary import _decode
-from mqsim.engine import greedy_schedule
-from mqsim.model import QueueCapacities, SEND, Trace, ValueProfile, append_drain
+from mqsim.adversary import _decode, random_trace, random_worst
+from mqsim.engine import greedy_schedule, greedy_transmit_counts
+from mqsim.model import (QueueCapacities, SEND, Trace, ValueProfile, _drain_events, append_drain,
+                         validate_profile)
 from mqsim.opt import _StateSpace, _state_space, opt_bruteforce
 
 
@@ -126,6 +130,61 @@ def greedy_inputs(draw):
 def test_greedy_schedule_matches_class_scan(instance):
     events, caps, m = instance
     assert greedy_schedule(events, caps) == scan_greedy_schedule(events, caps, m)
+
+
+def counts_from_schedule(events, caps):
+    """Greedy's per-class transmission counts, counted off its schedule."""
+    choices = greedy_schedule(events, caps)
+    return list(map(choices.count, range(1, len(caps) + 1)))
+
+
+@st.composite
+def count_inputs(draw):
+    """Any events, drained or not, over m = 2..5 classes with caps 1..4."""
+    m = draw(st.integers(2, 5))
+    caps = tuple(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
+    events = tuple(draw(st.lists(st.integers(0, m), max_size=30)))
+    return events, caps
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(count_inputs())
+def test_greedy_transmit_counts_match_the_schedules_class_counts(instance):
+    events, caps = instance
+    assert greedy_transmit_counts(events, caps) == counts_from_schedule(events, caps)
+
+
+def randint_events(rng, m, length):
+    """A uniform raw event string, drawing each class with `rng.randint(1, m)`."""
+    return tuple(rng.randint(1, m) if rng.random() < 0.5 else SEND for _ in range(length))
+
+
+def test_random_trace_draws_what_randint_draws():
+    """Same events and same generator state after, for every length 0..40
+    drawn in turn from one stream per seed and class count."""
+    for seed in range(200):
+        for m in range(2, 10):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            for length in range(41):
+                assert random_trace(rng, m, length).events == randint_events(oracle, m, length)
+                assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("values, caps", [((1, 2), (1, 1)), ((1, 3, 4, 10), (2, 1, 2, 1))])
+def test_random_worst_scores_the_drained_random_traces(values, caps, monkeypatch):
+    scored = []
+
+    def record(candidates, space, bound):
+        scored.extend(candidates)
+        return None, len(scored), None
+
+    monkeypatch.setattr(adversary, "_scan", record)
+    profile = validate_profile(values)
+    result = random_worst(profile, QueueCapacities(caps), 20, 300, seed=7)
+    rng = random.Random(7)
+    drawn = [_drain_events(random_trace(rng, profile.m, 20).events) for _ in range(300)]
+    assert scored == drawn
+    assert result.traces_evaluated == 300
 
 
 @st.composite

@@ -34,6 +34,8 @@ CASES = [
      ["search", "--values", "1", "2", "--caps", "1", "1", "--max-len", "10", "--jobs", "4"], 0),
     ("search_random", ["search", "--values", "1", "2", "--caps", "1", "1", "--samples", "5000",
                        "--seed", "42", "--max-len", "12"], 0),
+    ("search_random_m4", ["search", "--values", "1", "3", "4", "10", "--caps", "2", "1", "2", "1",
+                          "--samples", "300", "--seed", "7", "--max-len", "20"], 0),
     ("bound_123", ["bound", "--values", "1", "2", "3"], 0),
     ("state_cap", ["verify", "--values", "1", "2", "--caps", "1", "1", "--trace", TRACE,
                    "--state-cap", "3"], 3),

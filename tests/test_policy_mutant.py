@@ -1,7 +1,7 @@
 """A wrong greedy rule or surplus sum is caught by the verifier and by the search.
 
-`engine.greedy_schedule` is the only place greedy's rule is written, so
-patching it changes `run_greedy` (and through it `verify_all`) and
+`engine._greedy` is the only place greedy's rule is written, so patching it
+changes `greedy_schedule`, `run_greedy` (and through it `verify_all`) and
 `greedy_transmit_counts` (and through it the searches) at once.  The mutant
 serves the lowest nonempty class; each trace below turns named verdicts false
 under it, and the same patch makes `exhaustive_worst` report a ratio above the
@@ -27,24 +27,26 @@ from mqsim.model import QueueCapacities, SEND, append_drain, parse_trace, valida
 from mqsim.opt import OptResult, opt_search as real_opt_search
 
 
-def lowest_class_first(events, caps):
+def lowest_class_first(events, caps, choices=None):
+    """`engine._greedy` serving the lowest nonempty class."""
     m = len(caps)
-    q = [0] * m
-    choices = []
+    q, sent = [0] * m, [0] * m
     for ev in events:
         if ev == SEND:
             c = next((c for c in range(m) if q[c]), None)
             if c is not None:
                 q[c] -= 1
-            choices.append(None if c is None else c + 1)
+                sent[c] += 1
+            if choices is not None:
+                choices.append(None if c is None else c + 1)
         elif q[ev - 1] < caps[ev - 1]:
             q[ev - 1] += 1
-    return choices
+    return sent
 
 
 @pytest.fixture
 def mutant(monkeypatch):
-    monkeypatch.setattr(engine, "greedy_schedule", lowest_class_first)
+    monkeypatch.setattr(engine, "_greedy", lowest_class_first)
 
 
 def verdicts(values, raw):
@@ -138,7 +140,8 @@ def test_aggregate_deficit_off_by_two_turns_false(monkeypatch):
 def lowest_class_optimum(trace, caps, profile, state_cap):
     """`opt_search` that reports the optimum's value but serves the lowest class."""
     value = real_opt_search(trace, caps, profile, state_cap=state_cap).benefit
-    choices = lowest_class_first(trace.events, caps.caps)
+    choices = []
+    lowest_class_first(trace.events, caps.caps, choices)
     return OptResult(value, Schedule(tuple(choices)))
 
 
