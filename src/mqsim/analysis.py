@@ -10,6 +10,16 @@ checkers take end-of-trace vectors (A, D, the tail sums S and S*, U).  The bound
 and the delta coefficients share one cache entry per profile.  Checks read whole
 rows in C-level passes, and a failure's (h, e) is looked up only when the check
 fails.
+
+D, S, U, the deltas and the eight end-of-trace verdicts depend on nothing but
+the profile, greedy's end-of-trace acceptances A and the optimum's A*: not on
+the caps, the events or any per-event row.  So `_end_of_trace` memoizes them on
+(profile, A, A*), up to 1,024 entries, least recently used first out; a hit
+serves exactly what a miss would compute.  Every optimal schedule accepts the
+same A*, so an entry does not depend on the optimum's tie-break either.  Most
+traces share their key with an earlier one (95.7% of 9,000 seeded drained
+traces of three configs, in one cold pass).  The per-event checks, the ratio
+and every ledger are computed on every call.
 """
 
 from __future__ import annotations
@@ -393,6 +403,29 @@ def _profile_constants(profile: ValueProfile) -> tuple[Fraction, _Coefficients]:
     return report.upper, _coefficients(profile, report.c_star)
 
 
+@lru_cache(maxsize=1024)
+def _end_of_trace(profile: ValueProfile, A: tuple[int, ...], A_star: tuple[int, ...]) -> tuple:
+    """D, S, U, the deltas and the eight end-of-trace verdicts of `verify_all`.
+
+    Each is an exact function of (profile, A, A*) alone, so `verify_all` memoizes
+    them on that key; the checkers are read through module globals on a miss."""
+    co = _profile_constants(profile)[1]
+    D = tuple(map(sub, A_star, A))
+    S, U = suffix_sums(A), u_recursion(A)
+    delta = _delta(co, U, S)
+    verdicts = (
+        check_aggregate_deficit(S, suffix_sums(A_star)),
+        _verdict("top_class_equal", A[-1] == A_star[-1]),
+        check_D_bounds(D, S),
+        check_D_sum_bounds(D, S),
+        check_u_bounds(D, U),
+        _verdict("u_forms_agree", U == u_explicit(A)),
+        co.signs,
+        _delta_chain(profile, co, A, D, U, delta),
+    )
+    return D, S, U, tuple(Fraction(x, co.q * profile.scale) for x in delta), verdicts
+
+
 def verify_all(
     trace: Trace,
     caps: QueueCapacities,
@@ -410,15 +443,11 @@ def verify_all(
     # Fractions, so equal values have equal (numerator, denominator) pairs
     if o.as_integer_ratio() != opt_result.benefit.as_integer_ratio():
         raise LedgerMismatch(f"optimal schedule earns {o}, not {opt_result.benefit}")
-    bound, co = _profile_constants(profile)
 
     xi, phi = compute_xi(greedy_ledger, opt_ledger), compute_phi(greedy_ledger, opt_ledger)
-    A = tuple(map(_last, greedy_ledger.accepted))
-    Astar = tuple(map(_last, opt_ledger.accepted))
-    D = tuple(map(sub, Astar, A))
-    S, U = suffix_sums(A), u_recursion(A)
-    delta = _delta(co, U, S)
-
+    D, S, U, delta, end = _end_of_trace(
+        profile, tuple(map(_last, greedy_ledger.accepted)), tuple(map(_last, opt_ledger.accepted)))
+    bound = _profile_constants(profile)[0]
     ratio, ratio_verdict = check_ratio(o, g, bound)
 
     backlogged, opt_empty = check_surplus_monotonicity(trace, greedy_ledger, opt_ledger, xi)
@@ -429,20 +458,12 @@ def verify_all(
         backlogged,
         opt_empty,
         check_phi_nonneg(phi),
-        check_aggregate_deficit(S, suffix_sums(Astar)),
-        _verdict("top_class_equal", A[-1] == Astar[-1]),
-        check_D_bounds(D, S),
-        check_D_sum_bounds(D, S),
-        check_u_bounds(D, U),
-        _verdict("u_forms_agree", U == u_explicit(A)),
-        co.signs,
-        _delta_chain(profile, co, A, D, U, delta),
+        *end,
         ratio_verdict,
     ]
 
     return ComparativeReport(
-        m=profile.m, xi=xi, phi=phi, D=D, S=S, U=U,
-        delta=tuple(Fraction(x, co.q * profile.scale) for x in delta),
+        m=profile.m, xi=xi, phi=phi, D=D, S=S, U=U, delta=delta,
         greedy_benefit=g, opt_benefit=o, ratio=ratio, bound=bound,
         verdicts={v.name: v for v in verdicts},
     )

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from mqsim import analysis
 from mqsim.analysis import suffix_sums
 from mqsim.engine import Schedule, replay_schedule
 from mqsim.model import (
@@ -16,6 +17,15 @@ from mqsim.model import (
     parse_trace,
     validate_profile,
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_end_of_trace_memo():
+    """Each test starts and ends with `verify_all`'s end-of-trace memo empty, so a
+    checker a test patches is called, and a verdict it made is not served later."""
+    analysis._end_of_trace.cache_clear()
+    yield
+    analysis._end_of_trace.cache_clear()
 
 
 @pytest.fixture
