@@ -219,7 +219,7 @@ def exhaustive_worst(
 
 def _random_events(rng: random.Random, m: int, length: int) -> tuple[int, ...]:
     """`random_trace`'s events.  A class is drawn as `rng.randint(1, m)` draws
-    it on CPython 3.10-3.12: `m.bit_length()` random bits, redrawn while they
+    it on CPython 3.10-3.13: `m.bit_length()` random bits, redrawn while they
     read m or more."""
     coin, bits, k = rng.random, rng.getrandbits, m.bit_length()
     events = []

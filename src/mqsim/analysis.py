@@ -88,7 +88,7 @@ class ComparativeReport:
     opt_benefit: Fraction
     ratio: Fraction
     bound: Fraction
-    verdicts: dict[str, Verdict] = field(compare=False)
+    verdicts: dict[str, Verdict] = field(hash=False)
 
     @property
     def all_ok(self) -> bool:

@@ -21,6 +21,7 @@ from .model import (
     Trace,
     ValueProfile,
     append_drain,
+    ascii_int,
     compute_c,
     matches_recurrence,
     parse_config,
@@ -47,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--values", nargs="+", metavar="V",
                        help="class values, ascending, as p or p/q")
         if with_caps:
-            p.add_argument("--caps", nargs="+", type=int, metavar="B",
+            p.add_argument("--caps", nargs="+", type=ascii_int, metavar="B",
                            help="queue capacities, one per class")
         p.add_argument("--config", metavar="FILE",
                        help="config file with values:/capacities: lines")

@@ -71,14 +71,24 @@ def as_rational(raw: RationalLike) -> Fraction:
     raise TypeError(f"exact rational required, got {type(raw).__name__}")
 
 
+def ascii_int(text: str) -> int:
+    """The one integer grammar of values, capacities and class indices: ASCII
+    decimal digits with an optional leading '-'.  `int` alone would also read
+    '1_0', other scripts' digits and surrounding spaces."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_rational_text(text: str, where: str) -> Fraction:
-    # Grammar: "p" or "p/q" with decimal integers; no decimal points, no spaces.
-    parts = text.strip().split("/")
+    # Grammar: "p" or "p/q" with `ascii_int` integers; no decimal points, no spaces.
+    parts = text.split("/")
     try:
         if len(parts) == 1:
-            return Fraction(int(parts[0]))
+            return Fraction(ascii_int(parts[0]))
         if len(parts) == 2:
-            return Fraction(int(parts[0]), int(parts[1]))
+            return Fraction(ascii_int(parts[0]), ascii_int(parts[1]))
     except (ValueError, ZeroDivisionError):
         pass
     raise ValueError(f"bad {where} {text!r}: expected p or p/q")
@@ -216,10 +226,10 @@ def parse_trace(text: str) -> Trace:
                 raise TraceSyntaxError(lineno, f"send takes no argument: {raw_line!r}")
             events.append(SEND)
         elif tokens[0] == "A":
-            digits = tokens[-1].removeprefix("-")
-            if len(tokens) != 2 or not (digits.isascii() and digits.isdigit()):
-                raise TraceSyntaxError(lineno, f"expected 'A <class-index>': {raw_line!r}")
-            cls = int(tokens[1])
+            try:
+                (cls,) = map(ascii_int, tokens[1:])
+            except ValueError:  # not exactly one index, or not `ascii_int`'s grammar
+                raise TraceSyntaxError(lineno, f"expected 'A <class-index>': {raw_line!r}") from None
             if cls < 1:
                 raise BadClassIndex(lineno, f"class index {cls} is not >= 1")
             events.append(cls)
@@ -335,7 +345,7 @@ def parse_config(text: str) -> tuple[ValueProfile, QueueCapacities]:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
         elif key == "capacities":
             try:
-                caps = tuple(int(t) for t in tokens)
+                caps = tuple(map(ascii_int, tokens))
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad capacity in {rest!r}") from exc
         else:

@@ -19,16 +19,26 @@ that of the full state; no field is negative.  A field is bit_length(P + a
 * max w) + 1 bits wide for a trace of a arrivals, which keeps each top bit
 clear.  An arrival is a shift, a mask select and an add; a send merges each
 class's shifted successor fields with a 7-op SWAR max.  Both are O(m)
-big-int operations.  Each width's constants and send tails are cached.  One
-loop folds the layers: `best_scaled` keeps none of them, `tables` keeps all.
-A step is a pure function of (event, layer) at a given width, so a width whose
-layers fit in 512 bits also keeps a memo of up to 4,096 steps, shared across
-calls like the send tails: small state spaces repeat a few hundred steps.
+big-int operations.  One loop folds the layers: `best_scaled` keeps none of
+them, `tables` keeps all.
+
+A step is a pure function of (event, layer) at a given width, so each width
+keeps one cache, its step memo, shared across calls and looked up at every
+step.  It starts with the drain chain: sum(caps) + 1 sends from the base
+layer, the last of which maps its layer to itself, because after sum(caps)
+sends every state is empty; so a trace's final run of sends costs lookups
+only, however long it is.  Beyond the chain a width stores at most
+min(4,096, 2^22 / (2 x states x width)) steps, each charged its two layers:
+512 KB of layers.  A full memo still serves hits.  Measured working sets
+(distinct steps a run takes, chains included): `exhaustive-m3` 936 and
+`verify-mixed` 5,617 over its widths, both held whole; `random-wide` (400
+states) takes 7,622, so its memo fills at 1,106 steps beyond its two widths'
+chains, 1.1 MB of layers.
 
 The state space is built once per (caps, weights) and memoized behind one
 size guard, `_state_space`.  A traced run's `opt.dp_cells` (states x events
 per call) counts the cells a call covers, including those served from the
-send tails and the memo, not the cells computed.
+memo, not the cells computed.
 
 `opt_bruteforce` is the independent oracle: plain recursion over every
 diligent choice, no shared state machinery, Fraction arithmetic throughout.
@@ -39,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, product
+from itertools import product
 from math import prod
 from operator import mul
 
@@ -48,13 +58,10 @@ from .model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile
 
 DEFAULT_STATE_CAP = 10**7
 
-# Step memos: only for layers of at most 512 bits (at 400 states x 10 bits,
-# 7,592 of the 9,731 steps of a 250-sample random search at (1,3,4,10)/4,3,4,3,
-# seed 1, are distinct, while exhaustive (1,2,5)/1,1,1 at max-len 9 takes
-# 480,606 steps through 924 distinct ones), and at most 4,096 steps per width,
-# which holds the largest working set measured (4,449 steps over two widths,
-# exhaustive (1,3,4,10)/2,1,2,1 at max-len 8).
-_MEMO_BITS = 512
+# Each width's step memo stores at most min(_MEMO_CAP, _MEMO_BITS // (2 x
+# states x width)) steps beyond its drain chain: each step is charged its two
+# layers against 2^22 bits, and tiny layers hold no more than 4,096 steps.
+_MEMO_BITS = 1 << 22
 _MEMO_CAP = 4096
 
 
@@ -88,7 +95,6 @@ class _StateSpace:
         self.serve = [[(s - stride[c], c + 1) for c in reversed(range(len(caps))) if q[c]]
                       for s, q in enumerate(states)]
         self.offset = sum(map(mul, weights, caps))  # P, the full state's phi
-        self.drain = sum(caps)  # sends that empty every state
         self._packings: dict[int, _Packed] = {}  # by arrival count, shared per width
 
     def packing(self, arrivals: int) -> _Packed:
@@ -104,30 +110,17 @@ class _StateSpace:
         """The backward DP: val[i] - phi + P, packed, for i = n, ..., 0, where
         val[i][s] is the max scaled benefit of events[i:] from state s.  Returns
         the last layer and its packing; appends every layer, in that order, to
-        `keep` when it is a list."""
-        n = len(events)
-        packed = self.packing(n - events.count(SEND))
-        tail, step, memo = packed.tail, packed.step, packed.memo
-        run = next(compress(count(), reversed(events)), n)  # the final run of sends
-        top = min(run, self.drain)
-        while len(tail) <= top:
-            tail.append(packed.send(tail[-1]))
-        val = tail[top]
+        `keep` when it is a list.  Every step goes through the width's memo."""
+        packed = self.packing(len(events) - events.count(SEND))
+        step, memo, val = packed.step, packed.memo, packed.base
         if keep is not None:
-            keep += tail[:top]
-            keep += [val] * (run - top + 1)
-        body = reversed(events[: n - run])
-        if memo is None:
-            for ev in body:
-                val = step(ev, val)
-                if keep is not None:
-                    keep.append(val)
-            return val, packed
-        for ev in body:
+            keep.append(val)
+        for ev in reversed(events):
             nxt = memo[ev].get(val)
             if nxt is None:
                 nxt = step(ev, val)
-                if sum(map(len, memo)) < _MEMO_CAP:  # a full memo still serves hits
+                if packed.room:  # a full memo still serves hits
+                    packed.room -= 1
                     memo[ev][val] = nxt
             val = nxt
             if keep is not None:
@@ -162,11 +155,13 @@ class _Packed:
              pack([w * (q[c] < b) for q in states]))
             for c, (k, b, w) in enumerate(zip(space.stride, space.caps, space.weights))
         ]
-        # tail[r]: the layer before a final run of r sends.  After sum(caps)
-        # sends every state is empty, so longer runs repeat the last layer.
-        self.tail = [pack([space.offset - sum(map(mul, space.weights, q)) for q in states])]
-        # memo[ev][layer]: the layer before event ev; None on wide layers
-        self.memo = [{} for _ in range(len(space.caps) + 1)] if space.size * width <= _MEMO_BITS else None
+        # memo[ev][layer]: the layer before event ev, from the layer after it.  It
+        # starts with the drain chain from the base layer (val = 0 everywhere).
+        self.base = v = pack([space.offset - sum(map(mul, space.weights, q)) for q in states])
+        self.memo = [{} for _ in range(len(space.caps) + 1)]
+        for _ in range(sum(space.caps) + 1):  # the last send is a fixed point
+            self.memo[SEND][v] = v = self.send(v)  # keyed by v before the send
+        self.room = min(_MEMO_CAP, _MEMO_BITS // (2 * space.size * width))  # beyond the chain
 
     def step(self, ev: int, v: int) -> int:
         """The layer before event ev, from the layer v after it."""

@@ -14,7 +14,9 @@ those that earn the most, and asserts:
   ledger, checked by the public checkers against greedy's ledger.
 
 A drained trace transmits what it accepts, so an optimum's benefit is
-sum v_h A*_h: a schedule that earns less accepts another A*.
+sum v_h A*_h: a schedule that earns less accepts another A*.  Each optimal
+schedule's `top_class_equal` is among the checks, so no optimum accepts fewer
+top-class packets than greedy.
 """
 
 from __future__ import annotations
@@ -53,17 +55,30 @@ def optimal_ledgers(trace, caps, profile):
     return [ledger for ledger in ledgers if ledger.benefit_transmitted == best]
 
 
+# Pinned configs: (values, caps, seed, traces, max raw length), each drawn
+# on its own seed, so a profile is covered however the random draws fall.
+PINNED = [((1, 2), (1, 1), 36, 25, 6)]
+
+
+def drained(rng, m, max_len):
+    raw = tuple(rng.randint(1, m) if rng.random() < 0.5 else SEND
+                for _ in range(rng.randint(0, max_len)))
+    return append_drain(Trace(raw))
+
+
 def instances(seed):
-    """Seeded (profile, caps, drained trace): m = 2-4 integer values, caps 1-3,
-    raw length up to MAX_RAW_LEN."""
+    """Seeded (profile, caps, drained trace): the PINNED configs' traces, then
+    TRACES with m = 2-4 integer values, caps 1-3, raw length up to MAX_RAW_LEN."""
+    for values, caps, pin_seed, traces, max_len in PINNED:
+        rng = random.Random(pin_seed)
+        for _ in range(traces):
+            yield validate_profile(values), QueueCapacities(caps), drained(rng, len(values), max_len)
     rng = random.Random(seed)
     for _ in range(TRACES):
         m = rng.randint(2, 4)
         values = sorted(rng.sample(range(1, 13), m))
         caps = QueueCapacities(tuple(rng.randint(1, 3) for _ in range(m)))
-        raw = tuple(rng.randint(1, m) if rng.random() < 0.5 else SEND
-                    for _ in range(rng.randint(0, MAX_RAW_LEN)))
-        yield validate_profile(values), caps, append_drain(Trace(raw))
+        yield validate_profile(values), caps, drained(rng, m, MAX_RAW_LEN)
 
 
 def false_verdicts(trace, greedy, opt, profile):

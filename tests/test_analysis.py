@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -467,6 +468,15 @@ class TestVerifyAll:
         assert report.U == (1,)
         assert report.delta == ()
         assert report.all_ok
+
+    def test_reports_differing_in_one_verdict_differ(self, two_class, witness):
+        profile, caps = two_class
+        report = verify_all(witness, caps, profile)
+        name, verdict = next(iter(report.verdicts.items()))
+        flipped = replace(report, verdicts={**report.verdicts, name: replace(verdict, ok=False)})
+        assert flipped != report
+        assert replace(report, verdicts=dict(report.verdicts)) == report
+        assert hash(flipped) == hash(report)  # reports stay hashable; verdicts are not hashed
 
     def test_mismatched_caps_length(self, witness):
         profile = validate_profile((1, 2))

@@ -220,6 +220,12 @@ class TestBound:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "1 /2"])
+    def test_non_ascii_integer_value_exit_2(self, value, capsys):
+        code, out, err = run(["bound", "--values", value, "20"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad value {value!r}: expected p or p/q\n"
+
     def test_conflicting_sources_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("values: 1 2\ncapacities: 1 1\n")
@@ -349,6 +355,19 @@ class TestArgumentErrors:
             ["simulate", "--values", "1", "2", "--caps", "1",
              "--trace", witness_file], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("cap", ["1_0", "\u0661", "+1", " 1"])
+    def test_non_ascii_integer_caps_exit_2(self, cap, capsys):
+        # int() would read each of these as a capacity
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--values", "1", "2", "--caps", cap, "1", "--max-len", "3"])
+        assert exc.value.code == 2
+        assert f"argument --caps: invalid ascii_int value: {cap!r}" in capsys.readouterr().err
+
+    def test_negative_cap_keeps_its_message_exit_2(self, capsys):
+        code, out, err = run(
+            ["search", "--values", "1", "2", "--caps", "1", "-1", "--max-len", "3"], capsys)
+        assert (code, out, err) == (2, "", "error: capacity -1 is not an integer >= 1\n")
 
     @pytest.mark.parametrize("mode", [["--max-len", "4"], ["--samples", "5", "--seed", "1"]])
     def test_search_caps_length_mismatch_exit_2(self, mode, capsys):

@@ -11,6 +11,10 @@ import private names too, but that does not keep one alive.
 A second scan flags a parameter that its function or lambda never reads: a
 fact passed beside the argument that already holds it (a class count beside
 the caps that fix it) is one a caller can get wrong.
+
+A third flags an attribute that a private class assigns on `self` and that
+no code in `src/` loads: a cache or constant left behind when the code that
+used it went.
 """
 
 from __future__ import annotations
@@ -81,6 +85,27 @@ def unread_parameters(root: Path = SRC) -> list[tuple[str, str, str]]:
     return unread
 
 
+def unread_attributes(root: Path = SRC) -> list[tuple[str, str, str]]:
+    """(module, class, attribute) of each attribute that a private class's
+    methods assign on `self` and that no code in `root` loads.  Loads are
+    matched by attribute name, on any object; a store, `self.x -= 1` too, is
+    not a load."""
+    assigned, loaded = [], set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _private(cls.name)):
+                continue
+            names = {node.attr for node in ast.walk(cls)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                     and isinstance(node.value, ast.Name) and node.value.id == "self"}
+            assigned += [(path.name, cls.name, name) for name in sorted(names)]
+    return [entry for entry in assigned if entry[2] not in loaded]
+
+
 def test_every_private_name_is_read_in_src():
     assert unread_private_names() == []
 
@@ -112,3 +137,24 @@ def test_the_scan_flags_unread_parameters(tmp_path):
     assert unread_parameters(tmp_path) == [
         ("a.py", "evaluate", "caps"), ("a.py", "outer", "y"), ("a.py", "outer", "kwargs"),
         ("a.py", "make", "unused"), ("a.py", "<lambda>", "z")]
+
+
+def test_every_attribute_of_a_private_class_is_read_in_src():
+    assert unread_attributes() == []
+
+
+def test_the_scan_flags_unread_attributes(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class _Space:\n"
+        "    def __init__(self, n):\n"
+        "        self.size, self.tail = n, [0]\n"
+        "        self.room = self.drain = n\n"
+        "    def take(self):\n"
+        "        self.room -= 1\n"
+        "class Public:\n"
+        "    def __init__(self):\n"
+        "        self.unread = 0\n"
+    )
+    (tmp_path / "b.py").write_text("def width(space):\n    return space.size\n")
+    assert unread_attributes(tmp_path) == [
+        ("a.py", "_Space", "drain"), ("a.py", "_Space", "room"), ("a.py", "_Space", "tail")]

@@ -9,9 +9,9 @@ keeps them by the decoded string, as the scan did before.
 counts greedy's transmissions as it goes; `counts_from_schedule` counts each
 class in greedy's schedule afterwards.  `random_trace` draws a class from
 `getrandbits`; `randint_events` draws it with `randint`.  `best_scaled` and
-`tables` run one backward fold, keeping no layers and every layer; on small
-state spaces it serves steps from each packing's transition memo, and
-`fold_oracle` is that fold without the memo.
+`tables` run one backward fold, keeping no layers and every layer; it looks
+every step up in its width's step memo, which starts with the drain chain, and
+`fold_oracle` is that fold with no cache: every step computed from `packed.base`.
 """
 
 from __future__ import annotations
@@ -220,18 +220,12 @@ def test_best_scaled_is_the_first_table_and_the_optimum(instance):
 
 def fold_oracle(space, events):
     """Every packed layer of the backward DP, by event position, computing
-    each step: the fold as it was before the transition memo."""
+    each step from `packed.base`: the fold with no cache."""
     packed = space.packing(len(events) - events.count(SEND))
-    tail, send, arrive = packed.tail, packed.send, packed.arrive
-    run = 0
-    while run < len(events) and events[-1 - run] == SEND:
-        run += 1
-    top = min(run, sum(space.caps))
-    while len(tail) <= top:
-        tail.append(send(tail[-1]))
-    val = tail[top]
-    layers = tail[:top] + [val] * (run - top + 1)
-    for ev in reversed(events[: len(events) - run]):
+    send, arrive = packed.send, packed.arrive
+    val = packed.base
+    layers = [val]
+    for ev in reversed(events):
         if ev == SEND:
             val = send(val)
         else:
@@ -242,12 +236,15 @@ def fold_oracle(space, events):
     return layers
 
 
-def memo_sizes(space):
-    """Transitions held per width; asserts that no two widths share a memo (a
-    layer's int means a different array at another width)."""
-    memos = {id(p): p.memo for p in space._packings.values() if p.memo is not None}
-    assert len({id(memo) for memo in memos.values()}) == len(memos)
-    return [sum(map(len, memo)) for memo in memos.values()]
+def assert_memos_within_bounds(space):
+    """Each width's memo holds at most its drain chain's sum(caps) + 1 sends and
+    its budget, and no two widths share one (a layer's int means a different
+    array at another width)."""
+    packings = {id(p): p for p in space._packings.values()}.values()
+    for p in packings:
+        budget = min(opt._MEMO_CAP, opt._MEMO_BITS // (2 * space.size * p.width))
+        assert sum(map(len, p.memo)) <= sum(space.caps) + 1 + budget
+    assert len({id(p.memo) for p in packings}) == len(packings)
 
 
 @st.composite
@@ -269,7 +266,7 @@ def assert_fold_matches_oracle(space, events):
 def test_memoized_fold_matches_the_oracle(instance):
     profile, caps, events = instance
     weights = profile.weights
-    # cold: a fresh space's memos are empty
+    # cold: a fresh space's memos hold only their drain chains
     assert_fold_matches_oracle(_StateSpace(caps.caps, weights), events)
     # warm: the cached space, after folding this trace, its prefixes (other
     # widths) and their reversals (other steps from the same layers)
@@ -278,20 +275,60 @@ def test_memoized_fold_matches_the_oracle(instance):
         space.best_scaled(events[:k])
         space.best_scaled(events[:k][::-1])
     assert_fold_matches_oracle(space, events)
-    assert all(size <= opt._MEMO_CAP for size in memo_sizes(space))
-    # full: a cap of 3 transitions fills each memo, which keeps serving hits
+    assert_memos_within_bounds(space)
+    # full: a budget of 3 steps fills each memo, which keeps serving hits
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(opt, "_MEMO_CAP", 3)
         space = _StateSpace(caps.caps, weights)
         for _ in range(2):
             assert_fold_matches_oracle(space, events)
-        assert all(size <= 3 for size in memo_sizes(space))
+        assert_memos_within_bounds(space)
 
 
-def test_wide_packings_keep_no_memo():
+def test_wide_packings_bound_their_memo():
+    """Layers of 400 states: the bit budget, not the step cap, bounds the memo,
+    which fills and then serves hits alone."""
     space = _StateSpace((4, 3, 4, 3), (1, 3, 4, 10))
-    events = append_drain(Trace((1, 2, 3, 4, SEND, 4, 4, 1))).events
-    assert_fold_matches_oracle(space, events)
-    packed = space.packing(len(events) - events.count(SEND))
-    assert space.size * packed.width > opt._MEMO_BITS
-    assert packed.memo is None
+    rng = random.Random(5)
+    for _ in range(80):  # 12 arrivals each, so one width
+        raw = [rng.randint(1, 4) for _ in range(12)] + [SEND] * 12
+        rng.shuffle(raw)
+        assert_fold_matches_oracle(space, tuple(raw))
+    packed, = space._packings.values()
+    assert opt._MEMO_BITS // (2 * space.size * packed.width) < opt._MEMO_CAP
+    assert packed.room == 0
+    assert_memos_within_bounds(space)
+
+
+@pytest.mark.parametrize("values, caps", [
+    ((1, 2), (1, 1)),
+    ((1, 3, 4, 10), (2, 1, 2, 1)),
+    ((1, 3, 4, 10), (12, 12, 12, 12)),  # 28,561 states: a budget of 6-8 steps per width
+])
+def test_final_send_runs_cost_no_send(values, caps, monkeypatch):
+    """At every width, once its packing is built, a trace's final run of sends,
+    shorter or longer than sum(caps), is served from the drain chain: the fold
+    computes a send only for a send before the last arrival."""
+    profile = validate_profile(values)
+    space = _StateSpace(caps, profile.weights)
+    m, drain = len(caps), sum(caps)
+    rng = random.Random(7)
+    computed = []
+    for arrivals in (0, 1, 2, 6, 24, 60):
+        packed = space.packing(arrivals)
+        if "step" not in vars(packed):  # widths share a packing; count each step once
+            monkeypatch.setattr(packed, "step", lambda ev, v, step=packed.step:
+                                computed.append(ev) or step(ev, v))
+        for run in (0, 1, drain - 1, drain, drain + 3):
+            head = [rng.randint(1, m) for _ in range(arrivals)]
+            for i in rng.sample(range(arrivals), arrivals // 3):  # sends before arrivals
+                head.insert(i, SEND)
+            events = (*head, *(SEND,) * run)
+            computed.clear()
+            layers = space.tables(events)
+            assert computed.count(SEND) <= head.count(SEND)
+            if head.count(SEND) == 0:
+                assert SEND not in computed
+            assert layers == fold_oracle(space, events)
+        assert_memos_within_bounds(space)
+    assert len({id(p) for p in space._packings.values()}) >= 2

@@ -23,6 +23,7 @@ from mqsim.model import (
     TraceSyntaxError,
     append_drain,
     as_rational,
+    ascii_int,
     compute_c,
     doubling_tail,
     matches_recurrence,
@@ -53,6 +54,8 @@ class TestValidateProfile:
             validate_profile([0, 1])
         with pytest.raises(NonPositiveValue):
             validate_profile(["-1/2", 1])
+        with pytest.raises(NonPositiveValue):
+            validate_profile(["1/-2", 1])
 
     def test_single_value_rejected(self):
         with pytest.raises(TooFewClasses):
@@ -70,6 +73,13 @@ class TestValidateProfile:
     def test_string_rationals(self):
         profile = validate_profile(["1/3", "1/2", "2"])
         assert profile.values == (Fraction(1, 3), Fraction(1, 2), Fraction(2))
+
+    @pytest.mark.parametrize("text", [
+        "1_0", "\u0661", "1 /2", "1/ 2", " 1", "2 ", "+1", "1/\u0662", "--1", "1/2/3", ""])
+    def test_string_rationals_take_ascii_integers_only(self, text):
+        # int() reads '1_0' as 10, ARABIC-INDIC DIGIT ONE as 1 and '1 ' as 1
+        with pytest.raises(ValueError, match="expected p or p/q"):
+            validate_profile([text, "20"])
 
     def test_weights_scale(self):
         profile = validate_profile(["1/3", "1/2", "2"])
@@ -289,6 +299,18 @@ class TestQueueCapacities:
         assert str(exc.value) == "need at least one capacity"
 
 
+class TestAsciiInt:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("-12", -12), ("10", 10)])
+    def test_ascii_digits(self, text, value):
+        assert ascii_int(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1_0", "\u0661", "\u00b2", " 1", "1 ", "+1", "--1", "-", "", "1.0", "0x1"])
+    def test_anything_else_is_rejected(self, text):
+        with pytest.raises(ValueError):
+            ascii_int(text)
+
+
 class TestParseConfig:
     def test_basic(self):
         profile, caps = parse_config("values: 1 2 5\ncapacities: 1 1 1\n")
@@ -310,6 +332,16 @@ class TestParseConfig:
     def test_bad_rational(self):
         with pytest.raises(ConfigError):
             parse_config("values: 1 0.5\ncapacities: 1 1\n")
+
+    @pytest.mark.parametrize("text", [
+        "values: 1_0 20\ncapacities: 1 1\n",
+        "values: 1 2\ncapacities: 1_0 1\n",
+        "values: 1 2\ncapacities: \u0661 1\n",
+        "values: 1 2\ncapacities: +1 1\n",
+    ])
+    def test_non_ascii_integers_rejected(self, text):
+        with pytest.raises(ConfigError, match="^line [12]: bad "):
+            parse_config(text)
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from conftest import replay_all
 from mqsim.engine import Schedule, replay_schedule, run_greedy
 from mqsim.model import (
     QueueCapacities,
@@ -168,25 +167,3 @@ class TestBruteforce:
                 assert opt_bruteforce(trace, caps, profile) == opt_search(
                     trace, caps, profile
                 ).benefit
-
-
-class TestOptimalScheduleScan:
-    def test_every_optimum_keeps_top_class_on_small_traces(self, two_class):
-        # Scan all diligent schedules of small traces: benefit-equal optima
-        # with fewer top-class acceptances than greedy would be a notable
-        # finding; none exist in this range, and the returned schedule always
-        # matches greedy's top-class count.
-        profile, caps = two_class
-        rng = random.Random(36)
-        findings = 0
-        for _ in range(25):
-            trace = random_drained_trace(rng, 2, max_len=6)
-            best = opt_search(trace, caps, profile)
-            greedy_ledger, _ = run_greedy(trace, caps, profile)
-            returned = replay_schedule(trace, caps, profile, best.schedule)
-            assert returned.accepted[-1][-1] == greedy_ledger.accepted[-1][-1]
-            for _, ledger in replay_all(trace, caps, profile):
-                if ledger.benefit_transmitted == best.benefit:
-                    if ledger.accepted[-1][-1] < greedy_ledger.accepted[-1][-1]:
-                        findings += 1
-        assert findings == 0
