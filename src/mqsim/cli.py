@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="FILE",
                        help="config file with values:/capacities: lines")
         if with_caps:  # only the commands with capacities run the optimum's DP
-            p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+            p.add_argument("--state-cap", type=ascii_int, default=DEFAULT_STATE_CAP,
                            help="cap on offline-optimum DP cells; a cell is one "
                            "state at one event, in 64-bit words of its field")
         return p
@@ -65,16 +65,16 @@ def _build_parser() -> argparse.ArgumentParser:
     command("bound", cmd_bound, "print the closed-form bound constants", with_caps=False)
 
     p_search = command("search", cmd_search, "search traces for the worst ratio")
-    p_search.add_argument("--max-len", type=int, metavar="N",
+    p_search.add_argument("--max-len", type=ascii_int, metavar="N",
                           help="exhaustive: maximum raw string length "
                           "(random: sampled string length)")
-    p_search.add_argument("--samples", type=int, metavar="N",
+    p_search.add_argument("--samples", type=ascii_int, metavar="N",
                           help="random mode: number of sampled strings")
-    p_search.add_argument("--seed", type=int, metavar="N",
+    p_search.add_argument("--seed", type=ascii_int, metavar="N",
                           help="random mode: RNG seed (required with --samples)")
-    p_search.add_argument("--budget", type=int, default=None,
+    p_search.add_argument("--budget", type=ascii_int, default=None,
                           help="exhaustive mode: max raw strings enumerated")
-    p_search.add_argument("--jobs", type=int, default=None, metavar="N",
+    p_search.add_argument("--jobs", type=ascii_int, default=None, metavar="N",
                           help="exhaustive mode: worker processes (default 1)")
 
     return parser

@@ -131,35 +131,32 @@ def _run(trace: Trace, caps: QueueCapacities, profile: ValueProfile,
     diligence at each send, and record the ledger."""
     m = profile.m
     B = caps.caps
-    acc, tx, q = [0] * m, [0] * m, [0] * m
-    # the three vectors after every event, null entry first: row h-1 is flat[h-1::m]
-    acc_flat, tx_flat, q_flat = [0] * m, [0] * m, [0] * m
+    # class c's accepted, transmitted and queued counts sit at c-1, T+c and Q+c
+    state, T, Q = [0] * (3 * m), m - 1, 2 * m - 1
+    cols = [tuple(state)]  # state after every event, null entry first
     send_i = 0
 
     for ev in trace.events:
         if ev == SEND:
             cls = choices[send_i]
             if cls is None:
-                if any(q):
+                if any(state[Q + 1 :]):
                     raise DiligenceViolation(send_i, "idle while a queue is nonempty")
             elif not 1 <= cls <= m:
                 raise DiligenceViolation(send_i, f"class {cls} out of range")
-            elif q[cls - 1] == 0:
+            elif state[Q + cls] == 0:
                 raise DiligenceViolation(send_i, f"class {cls} queue is empty")
             else:
-                q[cls - 1] -= 1
-                tx[cls - 1] += 1
+                state[Q + cls] -= 1
+                state[T + cls] += 1
             send_i += 1
-        elif q[ev - 1] < B[ev - 1]:
-            q[ev - 1] += 1
-            acc[ev - 1] += 1
-        acc_flat.extend(acc)
-        tx_flat.extend(tx)
-        q_flat.extend(q)
+        elif state[Q + ev] < B[ev - 1]:
+            state[Q + ev] += 1
+            state[ev - 1] += 1
+        cols.append(tuple(state))
 
-    rows = [tuple(flat[h::m]) for flat in (acc_flat, tx_flat, q_flat) for h in range(m)]
-    return Ledger(tuple(rows[:m]), tuple(rows[m : 2 * m]), tuple(rows[2 * m :]),
-                  profile.benefit(tx))
+    rows = tuple([*zip(*cols)])  # all 3m rows from one zip; a sized tuple, as in parse_trace
+    return Ledger(rows[:m], rows[m : 2 * m], rows[2 * m :], profile.benefit(state[m : 2 * m]))
 
 
 def run_greedy(

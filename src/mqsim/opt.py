@@ -8,10 +8,10 @@ choices are broken toward the highest class index, which makes the returned
 schedule deterministic.  The tie-break changes no end-of-trace quantity:
 every optimal schedule accepts the same per-class vector A*.
 `tests/test_all_optima.py` checks that, and that every checker holds, over
-every optimal schedule of seeded short traces.  (The optimum's accepted set is a max-weight
-basis of a gammoid, and with positive weights such a basis meets each
-threshold set "class >= h" in its rank, so A* is unique; the step from the
-diligent model to the gammoid is measured, not proved.)
+every optimal schedule of seeded short traces.  (The optimum's accepted set
+is a max-weight basis of a gammoid, and with positive weights such a basis
+meets each threshold set "class >= h" in its rank, so A* is unique; the step
+from the diligent model to the gammoid is measured, not proved.)
 
 A DP layer is one int of packed fields.  State s's field holds val[s] -
 phi[s] + P, where phi[s] = sum_c w_c q_c(s) is the weight s buffers and P

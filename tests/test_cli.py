@@ -374,3 +374,29 @@ class TestArgumentErrors:
         code, out, err = run(
             ["search", "--values", "1", "2", "5", "--caps", "1", "1", *mode], capsys)
         assert (code, out, err) == (2, "", "error: 2 capacities given for 3 classes\n")
+
+    @pytest.mark.parametrize("value", ["٣", "1_0", "+1", " 1"])
+    @pytest.mark.parametrize("flag, argv", [
+        ("--max-len", ["--max-len", "{}"]),
+        ("--samples", ["--samples", "{}", "--seed", "1"]),
+        ("--seed", ["--samples", "2", "--seed", "{}"]),
+        ("--budget", ["--max-len", "3", "--budget", "{}"]),
+        ("--jobs", ["--max-len", "3", "--jobs", "{}"]),
+        ("--state-cap", ["--max-len", "3", "--state-cap", "{}"]),
+    ])
+    def test_non_ascii_integer_flag_exit_2(self, flag, argv, value, capsys):
+        # int() would read each of these as the flag's value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--values", "1", "2", "--caps", "1", "1",
+                      *(arg.format(value) for arg in argv)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid ascii_int value: {value!r}" in capsys.readouterr().err
+
+    def test_negative_seed_runs(self, capsys):
+        code, out, _ = run(["search", "--values", "1", "2", "--caps", "1", "1",
+                            "--samples", "2", "--seed", "-3"], capsys)
+        assert code == 0
+        assert out.startswith("# worst_ratio=") and " seed=-3\n" in out
+
+    def test_every_integer_flag_takes_ascii_int(self):
+        assert "type=int" not in Path(cli.__file__).read_text()

@@ -252,6 +252,22 @@ class TestDrained:
                 assert last(ledger.occupancy) == (0, 0, 0)
 
 
+class TestEventsAreATuple:
+    @pytest.mark.parametrize("make", [list, lambda evs: (ev for ev in evs)],
+                             ids=["list", "generator"])
+    @pytest.mark.parametrize("events", [(), (1, SEND, 1), (2, 1, SEND, SEND), (1, SEND, 1, SEND)])
+    def test_equals_and_hashes_like_the_tuple_built_trace(self, make, events):
+        trace, want = Trace(make(events)), Trace(events)
+        assert type(trace.events) is tuple
+        assert trace == want and hash(trace) == hash(want)
+        assert (trace.drained, trace.max_class) == (want.drained, want.max_class)
+        assert append_drain(trace) == append_drain(want)
+
+    def test_a_tuple_is_kept_uncopied(self):
+        events = (1, SEND)
+        assert Trace(events).events is events
+
+
 class TestAppendDrain:
     def test_arrival_and_send_counts(self):
         trace = Trace((1, SEND, 2, 3))

@@ -1,7 +1,9 @@
 """`parse_trace` and `Trace`'s event check against the loops they replaced.
 
 `parse_trace_loop` is the parser as it was before the ASCII-digit fix: one pass
-over the lines that splits, strips and checks each one.  `check_events_loop`
+over the lines that splits, strips and checks each one.  It is also the oracle
+of `parse_trace`'s line table, which serves lines seen before, so texts that
+repeat lines, repeat a bad line, or fill the table are compared against it.  `check_events_loop`
 is `Trace`'s per-event check before the C-level pass, and `drained_loop` the
 suffix-balance loop that `Trace.drained` ran on its first read.  The tests
 build texts from the grammar's alphabet and the characters around it, and
@@ -17,8 +19,9 @@ digit's value.  Both are now a TraceSyntaxError on their line.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mqsim import model
 from mqsim.model import SEND, BadClassIndex, Trace, TraceSyntaxError, parse_trace
 
 
@@ -102,6 +105,49 @@ def test_parse_matches_the_loop(lines):
     assert (got.events if isinstance(got, Trace) else got) == want
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(LINES, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40)))
+def test_repeated_lines_match_the_loop(lines):
+    text = "".join(line + "\n" for line in lines)
+    want = expected(text)
+    for _ in range(2):  # the second parse finds every line that parsed in the table
+        got = outcome(parse_trace, text)
+        assert (got.events if isinstance(got, Trace) else got) == want
+
+
+@pytest.mark.parametrize("bad", ["A", "A x", "S 1", "Q", "A ٣", "A 0", "A 1 2"])
+def test_a_bad_line_raises_on_its_line_every_time(bad):
+    for before in range(4):
+        good = ["A 1", "S", "# c", ""][:before]
+        for text in ("\n".join([*good, bad, "S"]), "\n".join([*good, bad, *good, bad])):
+            for _ in range(2):
+                got = outcome(parse_trace, text)
+                assert got == expected(text)
+                assert got[2] == before + 1
+
+
+def test_the_table_stays_within_its_bounds(monkeypatch):
+    monkeypatch.setattr(model, "_LINE_EVENTS", {})
+    long_lines = ["A 1" + " " * model._LINE_LEN, "# " + "x" * model._LINE_LEN,
+                  "S" + " " * model._LINE_LEN + "# long", "A " + "0" * model._LINE_LEN + "2"]
+    long_text = "\n".join(long_lines)
+    for _ in range(2):
+        assert outcome(parse_trace, long_text).events == expected(long_text)
+    assert not set(model._LINE_EVENTS) & set(long_lines)
+    comments = [f"# {i}" for i in range(5000)]
+    for start in range(0, len(comments), 500):
+        parse_trace("\n".join(comments[start : start + 500]))
+    table = model._LINE_EVENTS
+    assert len(table) == model._LINE_CAP  # full, and no larger
+    assert max(map(len, table)) <= model._LINE_LEN
+    for text in ("A 1\nS\nA 2\nS\n# 4999\n", "\n".join(comments[::7] + ["A 3", "S"]),
+                 "\n".join(long_lines[:2] + ["S"] * 2), "A 1\nA -1\n"):
+        got = outcome(parse_trace, text)
+        assert (got.events if isinstance(got, Trace) else got) == expected(text)
+    assert len(table) <= model._LINE_CAP
+
+
 @pytest.mark.parametrize("text, line", [("A ²\n", 1), ("S\n\nA ٣\n", 3),
                                         ("A --3\n", 1), ("A -٣\n", 1)])
 def test_grammar_fixes(text, line):
@@ -149,7 +195,15 @@ def drained_loop(events) -> bool:
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 4), max_size=14))
+@example([])
 def test_derived_fields_match_their_loops(events):
     trace = Trace(tuple(events))
     assert trace.drained == drained_loop(events)
     assert trace.max_class == max(events, default=0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([SEND, SEND, 1, 2, 7]), max_size=60).map(tuple))
+@example(())
+def test_drained_matches_its_loop_on_long_traces(events):
+    assert Trace(events).drained == drained_loop(events)
