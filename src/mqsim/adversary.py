@@ -14,12 +14,10 @@ report; it is never silently clamped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, cycle, islice, product, repeat
-from multiprocessing import get_context
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .engine import check_at_least, check_dims, greedy_transmit_counts
 from .model import (
@@ -57,8 +55,7 @@ class BoundFalsified(MQSimError):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     worst_trace: Trace
     worst_ratio: Fraction
     traces_evaluated: int
@@ -207,6 +204,8 @@ def exhaustive_worst(
             )
 
     if jobs > 1:
+        from multiprocessing import get_context  # only a pool needs it
+
         with get_context("fork").Pool(jobs) as pool:
             results = pool.starmap(_scan_range, tasks, chunksize=1)
     else:

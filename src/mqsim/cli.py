@@ -98,7 +98,7 @@ def _load_profile_caps(args) -> tuple[ValueProfile, QueueCapacities]:
         return parse_config(Path(args.config).read_text())
     if not args.values or not args.caps:
         raise MQSimError("need --values and --caps (or --config)")
-    return validate_profile(args.values), QueueCapacities(tuple(args.caps))
+    return validate_profile(args.values), QueueCapacities(args.caps)
 
 
 def _load_trace(args) -> Trace:

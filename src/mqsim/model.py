@@ -7,13 +7,20 @@ line up in a table from line text to its event (or to nothing, for a blank or
 comment line) and tokenizes only the lines it misses; the table keeps only
 lines that parsed, at most 1,024 of them, each at most 32 characters long.
 `Trace` checks its events in one C-level pass.
+
+`ValueProfile`, `QueueCapacities`, `Trace` and `BoundReport` are immutable
+value classes on one slotted base, `_Value`: each validates and stores its
+arguments once, derives what it needs in `__init__`, and equals only an
+instance of its own type.  The package's records (`engine.Ledger`,
+`engine.Schedule`, `opt.OptResult`, `analysis.Verdict`,
+`analysis.ComparativeReport`, `adversary.SearchResult`) are
+`typing.NamedTuple`s.  Neither kind generates code at import, as a dataclass
+does, so `import mqsim` loads no `dataclasses` machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import lcm
 from operator import mul
@@ -98,46 +105,82 @@ def _parse_rational_text(text: str, where: str) -> Fraction:
     raise ValueError(f"bad {where} {text!r}: expected p or p/q")
 
 
-@dataclass(frozen=True)
-class ValueProfile:
-    """Strictly increasing positive class values v_1 < v_2 < ... < v_m, m >= 2."""
+_set = object.__setattr__  # how `__init__` fills a slot past `_Value.__setattr__`
 
-    values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.values) < 2:
-            raise TooFewClasses(f"need at least 2 class values, got {len(self.values)}")
-        for v in self.values:
+class _Value:
+    """Base of the immutable value types.  A subclass stores its validated
+    constructor arguments, named by `_fields`, and what it derives from them
+    in slots.  Equality, hash, repr, pickling and copying read the arguments
+    only; pickling and copying rebuild through `__init__`, which validates
+    the arguments again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _args(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self._fields, self._args()))
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r} to {value!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class ValueProfile(_Value):
+    """Strictly increasing positive class values v_1 < v_2 < ... < v_m, m >= 2.
+
+    `values` may be given as any iterable; it is stored as a tuple.  Set on
+    construction: `m`; `scale`, the common denominator turning every class
+    value into an integer weight; `weights`, the integer weights w_i with
+    v_i = w_i / scale, used by the fast paths; and the hash, which every
+    `lru_cache` keyed on a profile reads (hashing Fractions is slow).
+    """
+
+    __slots__ = ("values", "m", "scale", "weights", "_hash")
+    _fields = ("values",)
+
+    def __init__(self, values: Iterable[Fraction]):
+        values = tuple(values)
+        if len(values) < 2:
+            raise TooFewClasses(f"need at least 2 class values, got {len(values)}")
+        for v in values:
             if v <= 0:
                 raise NonPositiveValue(f"class value {v} is not positive")
-        for lo, hi in zip(self.values, self.values[1:]):
+        for lo, hi in zip(values, values[1:]):
             if lo >= hi:
                 raise NotIncreasing(f"values must be strictly increasing: {lo} >= {hi}")
+        scale = lcm(*(v.denominator for v in values))
+        _set(self, "values", values)
+        _set(self, "m", len(values))
+        _set(self, "scale", scale)
+        _set(self, "weights", tuple(v.numerator * (scale // v.denominator) for v in values))
+        _set(self, "_hash", hash(values))  # equal profiles have equal values, as __eq__ compares
 
-    def __hash__(self) -> int:  # once per profile, not per `_profile_constants` lookup
+    def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.values)  # equal profiles have equal values, as __eq__ compares
-
-    @cached_property
-    def m(self) -> int:
-        return len(self.values)
-
     def value(self, cls: int) -> Fraction:
-        """Value of class `cls` (1-based)."""
+        """Value of class `cls` (1-based, in [1, m])."""
+        if not 1 <= cls <= self.m:
+            raise IndexError(f"cls={cls} is outside [1, m] for m={self.m}")
         return self.values[cls - 1]
-
-    @cached_property
-    def scale(self) -> int:
-        """Common denominator turning every class value into an integer weight."""
-        return lcm(*(v.denominator for v in self.values))
-
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        """Integer weights w_i with v_i = w_i / scale; used by the fast paths."""
-        return tuple(v.numerator * (self.scale // v.denominator) for v in self.values)
 
     def benefit(self, counts: Sequence[int]) -> Fraction:
         """Exact value total of `counts[i]` packets of each class i+1."""
@@ -146,29 +189,29 @@ class ValueProfile:
 
 def validate_profile(raw_values: Iterable[RationalLike]) -> ValueProfile:
     """Build a ValueProfile from rationals given as int, Fraction, or 'p'/'p/q' text."""
-    return ValueProfile(tuple(as_rational(v) for v in raw_values))
+    return ValueProfile(as_rational(v) for v in raw_values)
 
 
-@dataclass(frozen=True)
-class QueueCapacities:
-    """Per-class queue capacities B_1..B_m, each at least 1 packet."""
+class QueueCapacities(_Value):
+    """Per-class queue capacities B_1..B_m, each at least 1 packet.  `caps`
+    may be given as any iterable; it is stored as a tuple, and `m` is set on
+    construction."""
 
-    caps: tuple[int, ...]
+    __slots__ = ("caps", "m")
+    _fields = ("caps",)
 
-    def __post_init__(self):
-        if not self.caps:
+    def __init__(self, caps: Iterable[int]):
+        caps = tuple(caps)
+        if not caps:
             raise BadCapacity("need at least one capacity")
-        for b in self.caps:
+        for b in caps:
             if not isinstance(b, int) or isinstance(b, bool) or b < 1:
                 raise BadCapacity(f"capacity {b!r} is not an integer >= 1")
-
-    @cached_property
-    def m(self) -> int:
-        return len(self.caps)
+        _set(self, "caps", caps)
+        _set(self, "m", len(caps))
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Value):
     """An ordered sequence of arrive/send events.
 
     Order is the authoritative total order; absolute timestamps play no role.
@@ -179,13 +222,11 @@ class Trace:
     given as any iterable; it is stored as a tuple.
     """
 
-    events: tuple[Event, ...]
+    __slots__ = ("events", "drained", "max_class")
+    _fields = ("events",)
 
-    def __post_init__(self):
-        events = self.events
-        if type(events) is not tuple:  # a list would leave the trace unhashable
-            events = tuple(events)
-            object.__setattr__(self, "events", events)
+    def __init__(self, events: Iterable[Event]):
+        events = tuple(events)  # no copy of a tuple; a list would leave the trace unhashable
         if not (set(map(type, events)) <= {int} and min(events, default=0) >= 0):
             for ev in events:  # the check above is in C; this loop finds the bad event
                 if not isinstance(ev, int) or isinstance(ev, bool) or ev < 0:
@@ -195,8 +236,9 @@ class Trace:
             balance += 1 if ev == SEND else -1
             if balance < 0:
                 break
-        object.__setattr__(self, "drained", balance >= 0)
-        object.__setattr__(self, "max_class", max(events, default=0))
+        _set(self, "events", events)
+        _set(self, "drained", balance >= 0)
+        _set(self, "max_class", max(events, default=0))
 
     @property
     def arrivals(self) -> int:
@@ -272,8 +314,7 @@ def trace_to_text(trace: Trace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Value):
     """Closed-form constants of a value profile.
 
     `c` holds c_1..c_{m-1}, `c_star` their maximum, `upper` the proven
@@ -283,14 +324,16 @@ class BoundReport:
     over max-len 8 is 5/4 at caps (2, 1), 4/3 at (1, 1) and 7/5 at (1, 2).
     """
 
-    c: tuple[Fraction, ...]
-    abs_lower: Fraction
+    __slots__ = _fields = ("c", "abs_lower")
 
-    def __post_init__(self):
-        if not self.c:  # c_star = max(c) needs one c_i
+    def __init__(self, c: Iterable[Fraction], abs_lower: Fraction):
+        c = tuple(c)
+        if not c:  # c_star = max(c) needs one c_i
             raise MQSimError("c is empty")
-        if bad := [ci for ci in self.c if not 0 < ci < 1]:
+        if bad := [ci for ci in c if not 0 < ci < 1]:
             raise MQSimError(f"c_i out of (0,1): {bad[0]}")
+        _set(self, "c", c)
+        _set(self, "abs_lower", abs_lower)
 
     @property
     def c_star(self) -> Fraction:
@@ -314,7 +357,7 @@ def compute_c(profile: ValueProfile) -> BoundReport:
     for i in range(1, profile.m):
         tail = doubling_tail(v, i)
         c.append((v[i - 1] + tail) / (v[i] + tail))
-    return BoundReport(c=tuple(c), abs_lower=2 - v[-1] / sum(v))
+    return BoundReport(c=c, abs_lower=2 - v[-1] / sum(v))
 
 
 def recurrence_values(m: int, doubled: bool = False) -> tuple[Fraction, ...]:

@@ -46,12 +46,12 @@ diligent choice, no shared state machinery, Fraction arithmetic throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
 from operator import mul
+from typing import NamedTuple
 
 from .engine import Schedule, check_inputs
 from .model import MQSimError, QueueCapacities, SEND, Trace, ValueProfile
@@ -72,8 +72,7 @@ class StateSpaceExceeded(MQSimError):
         self.needed = needed
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     benefit: Fraction
     schedule: Schedule
 

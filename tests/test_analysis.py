@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -473,9 +472,9 @@ class TestVerifyAll:
         profile, caps = two_class
         report = verify_all(witness, caps, profile)
         name, verdict = next(iter(report.verdicts.items()))
-        flipped = replace(report, verdicts={**report.verdicts, name: replace(verdict, ok=False)})
+        flipped = report._replace(verdicts={**report.verdicts, name: verdict._replace(ok=False)})
         assert flipped != report
-        assert replace(report, verdicts=dict(report.verdicts)) == report
+        assert report._replace(verdicts=dict(report.verdicts)) == report
         assert hash(flipped) == hash(report)  # reports stay hashable; verdicts are not hashed
 
     def test_mismatched_caps_length(self, witness):

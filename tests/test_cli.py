@@ -138,8 +138,7 @@ class TestVerify:
             bad = Verdict("transmit_surplus_nonneg", False, h=1, event=5)
             verdicts = dict(report.verdicts)
             verdicts[bad.name] = bad
-            object.__setattr__(report, "verdicts", verdicts)
-            return report
+            return report._replace(verdicts=verdicts)
 
         monkeypatch.setattr(cli, "verify_all", corrupted)
         code, out, _ = run(
