@@ -16,7 +16,6 @@ from .analysis import (
     Verdict,
     check_D_bounds,
     check_aggregate_deficit,
-    check_delta_chain,
     check_phi_nonneg,
     check_xi_nonneg,
     compute_delta,

@@ -5,11 +5,11 @@ potentials, end-of-trace deficit and tail-sum inequalities, the upper-bound
 family with its recursive and explicit forms, the weighted potential descent,
 and the competitive-ratio bound itself.  All comparisons are exact.
 
-`verify_all` calls the public checkers, one function per verdict; end-of-trace
-checkers take end-of-trace vectors (A, D, the tail sums S and S*, U).  The bound
-and the delta coefficients share one cache entry per profile.  Checks read whole
-rows in C-level passes, and a failure's (h, e) is looked up only when the check
-fails.
+`verify_all` calls one function per verdict, a public checker where a caller
+has one to call; end-of-trace checkers take end-of-trace vectors (A, D, the
+tail sums S and S*, U).  The bound and the delta coefficients share one cache
+entry per profile.  Checks read whole rows in C-level passes, and a failure's
+(h, e) is looked up only when the check fails.
 
 D, S, U, the deltas and the eight end-of-trace verdicts depend on nothing but
 the profile, greedy's end-of-trace acceptances A and the optimum's A*: not on
@@ -344,8 +344,9 @@ def check_coefficient_signs(profile: ValueProfile, c_star: Fraction) -> Verdict:
     return _coefficients(profile, c_star).signs
 
 
-def check_delta_chain(
-    profile: ValueProfile, A: Sequence[int], D: Sequence[int]
+def _delta_chain(
+    profile: ValueProfile, co: _Coefficients, A: Sequence[int], D: Sequence[int],
+    U: Sequence[int], delta: Sequence[int],
 ) -> Verdict:
     """Descent of the weighted potentials, ending at the ratio bound's numerator.
 
@@ -355,21 +356,11 @@ def check_delta_chain(
     condition, and the chain's conclusion sum v_h D_h <= c* sum v_h A_h.
     For m = 2 the potentials are undefined and the degenerate route
     v_1 D_1 <= v_1 U_1 = v_1 A_2 <= c* (v_1 A_1 + v_2 A_2) is checked instead.
-    """
-    co = _profile_constants(profile)[1]
-    U = u_recursion(A)
-    return _delta_chain(profile, co, A, D, U, _delta(co, U, suffix_sums(A)))
 
-
-def _delta_chain(
-    profile: ValueProfile, co: _Coefficients, A: Sequence[int], D: Sequence[int],
-    U: Sequence[int], delta: Sequence[int],
-) -> Verdict:
-    """check_delta_chain on precomputed U and scaled Delta (from _delta), with
-    every inequality multiplied through by q * scale, so all operands are ints.
-
-    The one private core of a verdict: `verify_all` reports the same scaled
-    deltas that it checks here, and a test injects perturbed deltas."""
+    U and the scaled Delta (from _delta) come precomputed, and every
+    inequality is multiplied through by q * scale, so all operands are ints.
+    `verify_all` reports the same scaled deltas that it checks here, and a
+    test injects perturbed deltas."""
     m, w, p, q = profile.m, profile.weights, co.p, co.q
     name = "potential_chain"
     weighted_D = sum(map(mul, w[: m - 1], D))

@@ -5,9 +5,9 @@ class, its accepted, transmitted and occupancy counts after every event.  A
 ledger is only those rows; `ledger_to_tsv` reads each event's action back off
 the counter it moved.  `_greedy` is the only place the online greedy policy
 is written: one pass that always transmits from the highest-indexed nonempty
-queue and counts each class's transmissions as it goes.  `greedy_schedule`
-also collects its choices, which `run_greedy` replays; the searches read
-only the counts, through `greedy_transmit_counts`.  Admission is never a
+queue and counts each class's transmissions as it goes.  `run_greedy` also
+has it collect its choices, which it replays; the searches read only the
+counts, through `greedy_transmit_counts`.  Admission is never a
 choice: a diligent policy accepts exactly when the destination queue has a
 vacancy.
 """
@@ -116,13 +116,6 @@ def _greedy(events: tuple[int, ...], caps: tuple[int, ...],
     return sent
 
 
-def greedy_schedule(events: tuple[int, ...], caps: tuple[int, ...]) -> list[int | None]:
-    """Greedy's class at each send (None: idle), by `_greedy`'s rule."""
-    choices: list[int | None] = []
-    _greedy(events, caps, choices)
-    return choices
-
-
 def _run(trace: Trace, caps: QueueCapacities, profile: ValueProfile,
          choices: tuple[int | None, ...]) -> Ledger:
     """Replay one class choice per send over checked inputs, validating
@@ -160,9 +153,11 @@ def _run(trace: Trace, caps: QueueCapacities, profile: ValueProfile,
 def run_greedy(
     trace: Trace, caps: QueueCapacities, profile: ValueProfile
 ) -> tuple[Ledger, Schedule]:
-    """Simulate the greedy policy: replay `greedy_schedule`, checking diligence."""
+    """Simulate the greedy policy: replay `_greedy`'s choices, checking diligence."""
     check_inputs(trace, caps, profile)
-    schedule = Schedule(tuple(greedy_schedule(trace.events, caps.caps)))
+    choices: list[int | None] = []
+    _greedy(trace.events, caps.caps, choices)
+    schedule = Schedule(tuple(choices))
     return _run(trace, caps, profile, schedule.choices), schedule
 
 

@@ -10,7 +10,7 @@ lines that parsed, at most 1,024 of them, each at most 32 characters long.
 
 `ValueProfile`, `QueueCapacities`, `Trace` and `BoundReport` are immutable
 value classes on one slotted base, `_Value`: each validates and stores its
-arguments once, derives what it needs in `__init__`, and equals only an
+arguments once, derives what it needs in `__new__`, and equals only an
 instance of its own type.  The package's records (`engine.Ledger`,
 `engine.Schedule`, `opt.OptResult`, `analysis.Verdict`,
 `analysis.ComparativeReport`, `adversary.SearchResult`) are
@@ -78,7 +78,7 @@ def as_rational(raw: RationalLike) -> Fraction:
     if isinstance(raw, (int, Fraction)):
         return Fraction(raw)
     if isinstance(raw, str):
-        return _parse_rational_text(raw, where="value")
+        return _parse_rational_text(raw)
     raise TypeError(f"exact rational required, got {type(raw).__name__}")
 
 
@@ -92,7 +92,7 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
-def _parse_rational_text(text: str, where: str) -> Fraction:
+def _parse_rational_text(text: str) -> Fraction:
     # Grammar: "p" or "p/q" with `ascii_int` integers; no decimal points, no spaces.
     parts = text.split("/")
     try:
@@ -102,18 +102,16 @@ def _parse_rational_text(text: str, where: str) -> Fraction:
             return Fraction(ascii_int(parts[0]), ascii_int(parts[1]))
     except (ValueError, ZeroDivisionError):
         pass
-    raise ValueError(f"bad {where} {text!r}: expected p or p/q")
-
-
-_set = object.__setattr__  # how `__init__` fills a slot past `_Value.__setattr__`
+    raise ValueError(f"bad value {text!r}: expected p or p/q")
 
 
 class _Value:
-    """Base of the immutable value types.  A subclass stores its validated
-    constructor arguments, named by `_fields`, and what it derives from them
-    in slots.  Equality, hash, repr, pickling and copying read the arguments
-    only; pickling and copying rebuild through `__init__`, which validates
-    the arguments again."""
+    """Base of the immutable value types.  A subclass's `__new__` validates its
+    constructor arguments and stores them, named by `_fields`, and what it
+    derives from them in slots, through `_filled`.  It defines no `__init__`, so calling
+    `__init__` again on an instance changes nothing.  Equality, hash, repr,
+    pickling and copying read the arguments only; pickling and copying
+    rebuild through `__new__`, which validates the arguments again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -143,6 +141,15 @@ class _Value:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
 
+def _filled(cls: type, **slots) -> _Value:
+    """A new `cls` with each of `slots` set: how a value type's `__new__` fills
+    its slots past `_Value.__setattr__`."""
+    self = object.__new__(cls)
+    for name, value in slots.items():
+        object.__setattr__(self, name, value)
+    return self
+
+
 class ValueProfile(_Value):
     """Strictly increasing positive class values v_1 < v_2 < ... < v_m, m >= 2.
 
@@ -156,7 +163,7 @@ class ValueProfile(_Value):
     __slots__ = ("values", "m", "scale", "weights", "_hash")
     _fields = ("values",)
 
-    def __init__(self, values: Iterable[Fraction]):
+    def __new__(cls, values: Iterable[Fraction]):
         values = tuple(values)
         if len(values) < 2:
             raise TooFewClasses(f"need at least 2 class values, got {len(values)}")
@@ -167,20 +174,13 @@ class ValueProfile(_Value):
             if lo >= hi:
                 raise NotIncreasing(f"values must be strictly increasing: {lo} >= {hi}")
         scale = lcm(*(v.denominator for v in values))
-        _set(self, "values", values)
-        _set(self, "m", len(values))
-        _set(self, "scale", scale)
-        _set(self, "weights", tuple(v.numerator * (scale // v.denominator) for v in values))
-        _set(self, "_hash", hash(values))  # equal profiles have equal values, as __eq__ compares
+        weights = tuple(v.numerator * (scale // v.denominator) for v in values)
+        # equal profiles have equal values, as __eq__ compares, so hash those
+        return _filled(cls, values=values, m=len(values), scale=scale, weights=weights,
+                       _hash=hash(values))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def value(self, cls: int) -> Fraction:
-        """Value of class `cls` (1-based, in [1, m])."""
-        if not 1 <= cls <= self.m:
-            raise IndexError(f"cls={cls} is outside [1, m] for m={self.m}")
-        return self.values[cls - 1]
 
     def benefit(self, counts: Sequence[int]) -> Fraction:
         """Exact value total of `counts[i]` packets of each class i+1."""
@@ -200,15 +200,14 @@ class QueueCapacities(_Value):
     __slots__ = ("caps", "m")
     _fields = ("caps",)
 
-    def __init__(self, caps: Iterable[int]):
+    def __new__(cls, caps: Iterable[int]):
         caps = tuple(caps)
         if not caps:
             raise BadCapacity("need at least one capacity")
         for b in caps:
             if not isinstance(b, int) or isinstance(b, bool) or b < 1:
                 raise BadCapacity(f"capacity {b!r} is not an integer >= 1")
-        _set(self, "caps", caps)
-        _set(self, "m", len(caps))
+        return _filled(cls, caps=caps, m=len(caps))
 
 
 class Trace(_Value):
@@ -225,7 +224,7 @@ class Trace(_Value):
     __slots__ = ("events", "drained", "max_class")
     _fields = ("events",)
 
-    def __init__(self, events: Iterable[Event]):
+    def __new__(cls, events: Iterable[Event]):
         events = tuple(events)  # no copy of a tuple; a list would leave the trace unhashable
         if not (set(map(type, events)) <= {int} and min(events, default=0) >= 0):
             for ev in events:  # the check above is in C; this loop finds the bad event
@@ -236,9 +235,7 @@ class Trace(_Value):
             balance += 1 if ev == SEND else -1
             if balance < 0:
                 break
-        _set(self, "events", events)
-        _set(self, "drained", balance >= 0)
-        _set(self, "max_class", max(events, default=0))
+        return _filled(cls, events=events, drained=balance >= 0, max_class=max(events, default=0))
 
     @property
     def arrivals(self) -> int:
@@ -259,7 +256,20 @@ def append_drain(trace: Trace) -> Trace:
     return Trace(_drain_events(trace.events))
 
 
-_LINE_EVENTS: dict[str, tuple[Event, ...]] = {}  # line -> (event,), or () to skip it
+def _lines(text: str) -> list[str]:
+    """The lines of a trace or config text.  A line ends at `\n`, `\r\n` or `\r`
+    and nowhere else: `str.splitlines` also ends one at `\v`, `\f`, `\x1c`,
+    `\x1d`, `\x1e`, `\x85`, U+2028 and U+2029, and so would read the text after
+    one of them inside a `#` comment as code.  A text ending in a line break
+    gets a last, blank line."""
+    if "\r" in text:  # only a text holding a CR pays for the two replaces
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+# line -> (event,), or () to skip it; it starts with the blank line that ends every
+# text ending in a line break, so a table that fills first still serves that line
+_LINE_EVENTS: dict[str, tuple[Event, ...]] = {"": ()}
 _LINE_CAP, _LINE_LEN = 1024, 32
 
 
@@ -268,9 +278,10 @@ def parse_trace(text: str) -> Trace:
 
     One event per line: `A <class-index>` (1-based, ASCII decimal digits,
     leading zeros allowed) or `S`.  `#` starts a comment, blank lines are
-    ignored.  Line numbers in errors are 1-based and count every physical line.
+    ignored.  Line numbers in errors are 1-based and count every line, as
+    `_lines` ends them.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     # tuple() of a list, not of the chain: a tuple built from an unsized iterator is
     # over-allocated and shrunk, and CPython's tuple free lists keep such blocks, which
     # raised in-process peak RSS by 2.6 MB over six passes of the 9,000 verify-mixed traces
@@ -326,14 +337,13 @@ class BoundReport(_Value):
 
     __slots__ = _fields = ("c", "abs_lower")
 
-    def __init__(self, c: Iterable[Fraction], abs_lower: Fraction):
+    def __new__(cls, c: Iterable[Fraction], abs_lower: Fraction):
         c = tuple(c)
         if not c:  # c_star = max(c) needs one c_i
             raise MQSimError("c is empty")
         if bad := [ci for ci in c if not 0 < ci < 1]:
             raise MQSimError(f"c_i out of (0,1): {bad[0]}")
-        _set(self, "c", c)
-        _set(self, "abs_lower", abs_lower)
+        return _filled(cls, c=c, abs_lower=abs_lower)
 
     @property
     def c_star(self) -> Fraction:
@@ -398,7 +408,7 @@ def parse_config(text: str) -> tuple[ValueProfile, QueueCapacities]:
     """
     values: tuple[Fraction, ...] | None = None
     caps: tuple[int, ...] | None = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(_lines(text), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -411,7 +421,7 @@ def parse_config(text: str) -> tuple[ValueProfile, QueueCapacities]:
             raise ConfigError(f"line {lineno}: repeated key {key!r}")
         if key == "values":
             try:
-                values = tuple(_parse_rational_text(t, where="value") for t in tokens)
+                values = tuple(map(_parse_rational_text, tokens))
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
         elif key == "capacities":

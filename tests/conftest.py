@@ -49,6 +49,12 @@ def last(rows) -> tuple[int, ...]:
     return tuple(row[-1] for row in rows)
 
 
+def potential_chain(profile, A, D):
+    """The `potential_chain` verdict on end-of-trace vectors A and D, from the
+    function whose results `verify_all` memoizes, called past the memo."""
+    return analysis._end_of_trace.__wrapped__(profile, A, tuple(a + d for a, d in zip(A, D)))[-1][-1]
+
+
 def tail_sums(ledger) -> tuple[int, ...]:
     """The end-of-trace acceptance tail sums S_h = A_h + ... + A_m of a ledger."""
     return suffix_sums(last(ledger.accepted))

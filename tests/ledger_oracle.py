@@ -3,7 +3,7 @@
 `run_entries` is the runner that built one frozen `LedgerEntry` per event,
 with the `Action` taken at it and greedy's rule written into its send branch;
 `transmit_counts` is the counting loop the searches used before both became
-`engine.greedy_schedule`; `tsv` is the per-event dump that read those entries
+`engine._greedy`; `tsv` is the per-event dump that read those entries
 before `engine.ledger_to_tsv` read the rows;
 `surplus`, `check_conservation` and `check_surplus_monotonicity` are the
 checkers that walked those entries; `suffix_sums`, `u_recursion`, `u_explicit`,

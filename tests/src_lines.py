@@ -4,9 +4,10 @@ Run from anywhere, with the test dependencies installed:
 
     python tests/src_lines.py
 
-The whole suite runs in this process, under `--hypothesis-seed=0`, with a
-`sys.settrace` hook that records each line run in a frame whose code lives in
-`src/mqsim`; frames of other code get no line tracing.  A line counts as
+The whole suite runs in this process, under `--hypothesis-seed=0` and with
+every warning raised as an error (`-W error`), with a `sys.settrace` hook that
+records each line run in a frame whose code lives in `src/mqsim`; frames of
+other code get no line tracing.  A line counts as
 runnable when one of the package's code objects maps an instruction to it
 (`co_lines()`).  The script prints `module:line` for each runnable line that
 never ran and exits 1 when there is one, or with pytest's own exit code when
@@ -62,7 +63,7 @@ def run_suite() -> tuple[int, dict[Path, set[int]]]:
     try:
         # Every @given test sets derandomize=True, which ignores the seed; the
         # seed fixes the examples of any later test that does not.
-        code = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "-W", "error", "--hypothesis-seed=0",
                             str(ROOT / "tests")])
     finally:
         sys.settrace(None)

@@ -11,7 +11,8 @@ those that earn the most, and asserts:
   (profile, A, A*) names a single value;
 - the per-event statements (xi >= 0, phi >= 0 and both monotonicity
   statements) and the end-of-trace checkers hold on each optimal schedule's
-  ledger, checked by the public checkers against greedy's ledger.
+  ledger, checked against greedy's ledger by the public checkers and, for
+  the potential chain, by the function behind `verify_all`'s end-of-trace memo.
 
 A drained trace transmits what it accepts, so an optimum's benefit is
 sum v_h A*_h: a schedule that earns less accepts another A*.  Each optimal
@@ -23,12 +24,11 @@ from __future__ import annotations
 
 import random
 
-from conftest import replay_all, tail_sums
+from conftest import potential_chain, replay_all, tail_sums
 from mqsim.analysis import (
     check_aggregate_deficit,
     check_D_bounds,
     check_D_sum_bounds,
-    check_delta_chain,
     check_phi_nonneg,
     check_ratio,
     check_surplus_monotonicity,
@@ -82,7 +82,7 @@ def instances(seed):
 
 
 def false_verdicts(trace, greedy, opt, profile):
-    """The names of the public checkers' verdicts that fail on this ledger pair."""
+    """The names of the verdicts that fail on this ledger pair."""
     xi, phi = compute_xi(greedy, opt), compute_phi(greedy, opt)
     A, A_star = (tuple(row[-1] for row in ledger.accepted) for ledger in (greedy, opt))
     D, S = tuple(a_star - a for a, a_star in zip(A, A_star)), suffix_sums(A)
@@ -94,7 +94,7 @@ def false_verdicts(trace, greedy, opt, profile):
         check_D_bounds(D, S),
         check_D_sum_bounds(D, S),
         check_u_bounds(D, u_recursion(A)),
-        check_delta_chain(profile, A, D),
+        potential_chain(profile, A, D),
         check_ratio(opt.benefit_transmitted, greedy.benefit_transmitted,
                     compute_c(profile).upper)[1],
     ]

@@ -15,6 +15,14 @@ the caps that fix it) is one a caller can get wrong.
 A third flags an attribute that a private class assigns on `self` and that
 no code in `src/` loads: a cache or constant left behind when the code that
 used it went.
+
+A fourth flags a public function or method (no leading underscore) that
+nothing outside `tests/` reads: the readers are `src/mqsim` less its
+`__init__.py`, whose exports are no use, and `demos/` and `perfbench/`.  A
+function is read through a loaded name, an attribute or a `from` import; a
+method only through an attribute, so a local variable that shares a method's
+name does not keep the method alive.  Public code that only tests call is
+tested for its own sake and can be deleted with its tests.
 """
 
 from __future__ import annotations
@@ -22,7 +30,13 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mqsim"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mqsim"
+
+# Public names that only tests read.  perfbench/spans.py binds both by name,
+# as the seams of the benchmark's analysis.* per-trace counts; ROADMAP item
+# 1(b), the benchmark change that drops those seams, deletes them.
+TEST_ONLY = {"analysis.compute_delta", "analysis.check_coefficient_signs"}
 
 
 def _private(name: str) -> bool:
@@ -106,6 +120,50 @@ def unread_attributes(root: Path = SRC) -> list[tuple[str, str, str]]:
     return [entry for entry in assigned if entry[2] not in loaded]
 
 
+def public_definitions(root: Path = SRC) -> dict[str, bool]:
+    """Each public top-level function and public method of a top-level class
+    in `root`, as `module.function` or `module.Class.method`, mapped to
+    whether it is a method."""
+    defs = {}
+    for path in sorted(root.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{path.stem}.{node.name}.{item.name}", True) for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_"))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("_"):
+                    defs[f"{path.stem}.{node.name}"] = False
+    return defs
+
+
+def reads(paths) -> tuple[set[str], set[str]]:
+    """The names that `paths` read as a loaded name or a `from` import, and
+    the names they read as an attribute."""
+    names, attributes = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names, attributes
+
+
+def reader_files(root: Path = ROOT) -> list[Path]:
+    src = root / "src" / "mqsim"
+    return [*sorted(set(src.glob("*.py")) - {src / "__init__.py"}),
+            *sorted((root / "demos").rglob("*.py")), *sorted((root / "perfbench").rglob("*.py"))]
+
+
+def unread_public_names(root: Path = ROOT) -> list[str]:
+    names, attributes = reads(reader_files(root))
+    return [qualified for qualified, is_method in public_definitions(root / "src" / "mqsim").items()
+            if qualified.rsplit(".", 1)[1] not in (attributes if is_method else names | attributes)]
+
+
 def test_every_private_name_is_read_in_src():
     assert unread_private_names() == []
 
@@ -158,3 +216,34 @@ def test_the_scan_flags_unread_attributes(tmp_path):
     (tmp_path / "b.py").write_text("def width(space):\n    return space.size\n")
     assert unread_attributes(tmp_path) == [
         ("a.py", "_Space", "drain"), ("a.py", "_Space", "room"), ("a.py", "_Space", "tail")]
+
+
+def test_every_public_name_but_the_test_only_ones_has_a_reader_outside_tests():
+    # equal, not a subset: a test-only name that is deleted or gains a reader
+    # leaves TEST_ONLY too
+    assert sorted(unread_public_names()) == sorted(TEST_ONLY)
+
+
+def test_the_scan_flags_unread_public_names(tmp_path):
+    src = tmp_path / "src" / "mqsim"
+    src.mkdir(parents=True)
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "perfbench" / "sub").mkdir(parents=True)
+    (src / "__init__.py").write_text("from .a import exported\n")
+    (src / "a.py").write_text(
+        "def exported():\n    pass\n"
+        "def called():\n    pass\n"
+        "def by_attribute():\n    pass\n"
+        "def imported():\n    pass\n"
+        "def _private():\n    called()\n"
+        "class Box:\n"
+        "    def used(self):\n        pass\n"
+        "    def shadowed(self):\n        shadowed = 1\n        return shadowed\n"
+        "    def unused(self):\n        pass\n"
+        "    def _helper(self):\n        self.used()\n"
+    )
+    (tmp_path / "demos" / "d.py").write_text("import a\na.by_attribute()\n")
+    (tmp_path / "perfbench" / "sub" / "p.py").write_text("from a import imported\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t.py").write_text("from a import exported, Box\nBox().unused()\n")
+    assert unread_public_names(tmp_path) == ["a.exported", "a.Box.shadowed", "a.Box.unused"]

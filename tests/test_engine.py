@@ -15,7 +15,6 @@ from mqsim.engine import (
     Ledger,
     LedgerMismatch,
     Schedule,
-    greedy_schedule,
     greedy_transmit_counts,
     ledger_to_tsv,
     replay_schedule,
@@ -212,10 +211,11 @@ class TestFastPath:
         profile, caps, trace = instance
         m = profile.m
         _, expected = oracle.run_entries(trace, caps, profile, None)
-        assert tuple(greedy_schedule(trace.events, caps.caps)) == expected.choices
+        ledger, schedule = run_greedy(trace, caps, profile)
+        assert schedule.choices == expected.choices
         counts = greedy_transmit_counts(trace.events, caps.caps)
         assert counts == oracle.transmit_counts(trace.events, caps.caps, m)
-        assert tuple(counts) == last(run_greedy(trace, caps, profile)[0].transmitted)
+        assert tuple(counts) == last(ledger.transmitted)
 
 
 class TestLedgerDump:

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import mqsim.adversary as adversary
 import mqsim.opt as opt
 from mqsim.adversary import _decode, random_trace, random_worst
-from mqsim.engine import greedy_schedule, greedy_transmit_counts
+from mqsim.engine import _greedy, greedy_transmit_counts
 from mqsim.model import (QueueCapacities, SEND, Trace, ValueProfile, _drain_events, append_drain,
                          validate_profile)
 from mqsim.opt import _StateSpace, _state_space, opt_bruteforce
@@ -39,6 +39,13 @@ def divmod_decode(index, length, m):
         index, digit = divmod(index, m + 1)
         events[pos] = SEND if digit == m else digit + 1
     return tuple(events)
+
+
+def greedy_schedule(events, caps):
+    """Greedy's class at each send (None: idle), as `run_greedy` collects them."""
+    choices = []
+    _greedy(events, caps, choices)
+    return choices
 
 
 def scan_greedy_schedule(events, caps, m):

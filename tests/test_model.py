@@ -374,3 +374,13 @@ class TestParseConfig:
     def test_invalid_profile_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("values: 2 1\ncapacities: 1 1\n")
+
+    @pytest.mark.parametrize("brk", "\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+    def test_only_cr_and_lf_end_a_line(self, brk):
+        # str.splitlines would end a line at `brk` and read the comment's rest as a key
+        with pytest.raises(ConfigError, match="^config needs both"):
+            parse_config(f"values: 1 2 # note{brk}capacities: 5 5\n")
+        _, caps = parse_config(f"values: 1 2 # old caps{brk}capacities: 5 5\ncapacities: 1 1\n")
+        assert caps.caps == (1, 1)
+        with pytest.raises(ConfigError, match="^line 3: repeated key 'capacities'$"):
+            parse_config(f"values:{brk}1 2\r\ncapacities: 1 1\rcapacities: 2 2\n")

@@ -46,7 +46,7 @@ class TestOptSearch:
     def test_single_arrival(self, two_class):
         profile, caps = two_class
         result = opt_search(parse_trace("A 1\nS\n"), caps, profile)
-        assert result.benefit == profile.value(1)
+        assert result.benefit == profile.values[0]
         assert result.schedule == Schedule((1,))
 
     @pytest.mark.parametrize("values, raw, schedule", [

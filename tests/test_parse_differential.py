@@ -1,7 +1,9 @@
 """`parse_trace` and `Trace`'s event check against the loops they replaced.
 
 `parse_trace_loop` is the parser as it was before the ASCII-digit fix: one pass
-over the lines that splits, strips and checks each one.  It is also the oracle
+over the lines that splits, strips and checks each one.  It takes the function
+that splits the text into lines: `str.splitlines`, as it was, or by default
+`physical_lines`, the one line rule `parse_trace` has now.  It is also the oracle
 of `parse_trace`'s line table, which serves lines seen before, so texts that
 repeat lines, repeat a bad line, or fill the table are compared against it.  `check_events_loop`
 is `Trace`'s per-event check before the C-level pass, and `drained_loop` the
@@ -9,14 +11,20 @@ suffix-balance loop that `Trace.drained` ran on its first read.  The tests
 build texts from the grammar's alphabet and the characters around it, and
 assert the same events, or the same exception type, message and line.
 
-Two kinds of line differ on purpose, because the loop handled them wrongly, and
-are asserted as such.  A class index that `str.isdigit` accepts but `int`
+Three kinds of line differ on purpose, because the loop handled them wrongly,
+and are asserted as such.  A class index that `str.isdigit` accepts but `int`
 rejects (`A ²`, `A --3`) made the loop raise a bare ValueError with no line
 number.  A class index with a non-ASCII decimal digit (`A ٣`) was read as that
-digit's value.  Both are now a TraceSyntaxError on their line.
+digit's value.  Both are now a TraceSyntaxError on their line.  And
+`str.splitlines` also ended a line at each of `LINE_BREAKS` (`\v`, `\f`, `\x1c`,
+`\x1d`, `\x1e`, `\x85`, U+2028, U+2029), so the loop read the text after one
+inside a `#` comment as an event.  Now only `\n`, `\r\n` and `\r` end a line, and
+within one each of `LINE_BREAKS` is whitespace, as `str.split` has it.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,9 +33,17 @@ from mqsim import model
 from mqsim.model import SEND, BadClassIndex, Trace, TraceSyntaxError, parse_trace
 
 
-def parse_trace_loop(text: str) -> Trace:
+LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines ends a line at each
+
+
+def physical_lines(text: str) -> list[str]:
+    """The lines of `text`, each ended by `\n`, `\r\n` or `\r` and nothing else."""
+    return re.split(r"\r\n|\r|\n", text)
+
+
+def parse_trace_loop(text: str, lines=physical_lines) -> Trace:
     events = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(lines(text), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -71,9 +87,9 @@ def index_the_loop_misread(raw_line: str) -> bool:
 
 
 def expected(text: str):
-    """The loop's outcome, with the two grammar fixes applied at the first
-    line where either one decides the result."""
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    """The loop's outcome on the physical lines, with the two grammar fixes
+    applied at the first line where either one decides the result."""
+    for lineno, raw_line in enumerate(physical_lines(text), start=1):
         fixed = (TraceSyntaxError, f"line {lineno}: expected 'A <class-index>': {raw_line!r}",
                  lineno)
         if index_the_loop_misread(raw_line):
@@ -88,7 +104,7 @@ def expected(text: str):
 
 
 PIECES = st.sampled_from(
-    ["A", "S", *"0123456789", "²", "٣", "-", "+", "#", " ", "\t", "# note"])
+    ["A", "S", *"0123456789", "²", "٣", "-", "+", "#", " ", "\t", "# note", *LINE_BREAKS])
 LINES = st.one_of(
     st.lists(PIECES, max_size=6).map("".join),
     st.sampled_from(["", "A 1", "A 12", "A 03", "S", " A 2 # c", "S\t# x", "A -3", "A --3",
@@ -97,7 +113,7 @@ LINES = st.one_of(
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
-@given(st.lists(st.tuples(LINES, st.sampled_from(["\n", "\r\n"])), max_size=8))
+@given(st.lists(st.tuples(LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8))
 def test_parse_matches_the_loop(lines):
     text = "".join(line + end for line, end in lines)
     want = expected(text)
@@ -155,6 +171,17 @@ def test_grammar_fixes(text, line):
         parse_trace(text)
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}: expected 'A <class-index>'")
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_only_cr_and_lf_end_a_line(brk):
+    comment = f"# not an event{brk}A 2\nS\n"
+    assert parse_trace_loop(comment, str.splitlines).events == (2, SEND)  # the loop as it was
+    assert parse_trace(comment).events == (SEND,) == parse_trace_loop(comment).events
+    assert parse_trace(f"A{brk}2\rS{brk}\r\nS\n").events == (2, SEND, SEND)
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_trace(f"S\r\nS\rA 1{brk}S\n")
+    assert exc.value.line == 3
 
 
 class Int(int):

@@ -1,7 +1,7 @@
 """A wrong greedy rule or surplus sum is caught by the verifier and by the search.
 
 `engine._greedy` is the only place greedy's rule is written, so patching it
-changes `greedy_schedule`, `run_greedy` (and through it `verify_all`) and
+changes `run_greedy` (and through it `verify_all`) and
 `greedy_transmit_counts` (and through it the searches) at once.  The mutant
 serves the lowest nonempty class; each trace below turns named verdicts false
 under it, and the same patch makes `exhaustive_worst` report a ratio above the

@@ -2,7 +2,8 @@
 
 `ValueProfile`, `QueueCapacities`, `Trace` and `BoundReport` are immutable
 value classes: not tuples, equal only to their own type, rebuilt (and so
-validated again) by `pickle` and `copy`.  The records (`Verdict`,
+validated again) by `pickle` and `copy`, and left as they are by a second
+call of `__init__`.  The records (`Verdict`,
 `ComparativeReport`, `OptResult`, `SearchResult`, `Schedule`, `Ledger`) are
 `NamedTuple`s.  Neither kind needs `dataclasses`, and only a search pool
 needs `multiprocessing`, so a fresh `import mqsim` loads neither.
@@ -55,6 +56,9 @@ VALUES = [
 ]
 each_value = pytest.mark.parametrize("value, stored, derived", VALUES,
                                      ids=[type(v).__name__ for v, _, _ in VALUES])
+# valid arguments, other than each instance's own, for a second `__init__` call
+AGAIN = {ValueProfile: ((1, 2),), QueueCapacities: ((4, 4, 4, 4),), Trace: ((2, 0, 0),),
+         BoundReport: ((Fraction(1, 3),), Fraction(5, 4))}
 
 
 def test_import_loads_no_dataclasses_inspect_or_multiprocessing():
@@ -135,8 +139,27 @@ def test_pickle_and_copy_round_trips_are_equal(value, stored, derived):
         assert getattr(twin, derived) == getattr(value, derived)
 
 
-def bypassing_init(cls, **stored):
-    """An instance whose slots were set without `__init__`'s checks."""
+@each_value
+def test_a_second_init_changes_nothing(value, stored, derived):
+    twin = copy.copy(value)  # rebuilt from the arguments, so it shares no slot's state
+    slots = type(value).__slots__
+    value.__init__(*AGAIN[type(value)])
+    assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+    assert [getattr(value, s) for s in slots] == [getattr(twin, s) for s in slots]
+
+
+def test_a_profile_stays_in_its_dict_after_a_second_init():
+    profile = validate_profile((1, 2))
+    table = {profile: "kept"}
+    profile.__init__((1, 2, 5))
+    assert table[profile] == "kept" and table[validate_profile((1, 2))] == "kept"
+    caps = QueueCapacities((1, 1))
+    caps.__init__((4, 4, 4))
+    assert (caps.caps, caps.m) == ((1, 1), 2)
+
+
+def bypassing_checks(cls, **stored):
+    """An instance whose slots were set without `__new__`'s checks."""
     value = object.__new__(cls)
     for name, arg in stored.items():
         object.__setattr__(value, name, arg)
@@ -144,16 +167,18 @@ def bypassing_init(cls, **stored):
 
 
 @pytest.mark.parametrize("bad, error, message", [
-    (bypassing_init(Trace, events=(1, -1)), TraceSyntaxError, "bad event encoding -1"),
-    (bypassing_init(QueueCapacities, caps=(1, 0)), MQSimError, "capacity 0 is not"),
-    (bypassing_init(ValueProfile, values=(Fraction(2), Fraction(1))), MQSimError, "increasing"),
-    (bypassing_init(BoundReport, c=(), abs_lower=Fraction(1)), MQSimError, "c is empty"),
+    (bypassing_checks(Trace, events=(1, -1)), TraceSyntaxError, "bad event encoding -1"),
+    (bypassing_checks(QueueCapacities, caps=(1, 0)), MQSimError, "capacity 0 is not"),
+    (bypassing_checks(ValueProfile, values=(Fraction(2), Fraction(1))), MQSimError, "increasing"),
+    (bypassing_checks(BoundReport, c=(), abs_lower=Fraction(1)), MQSimError, "c is empty"),
 ], ids=["Trace", "QueueCapacities", "ValueProfile", "BoundReport"])
 def test_pickle_and_copy_validate_again(bad, error, message):
     with pytest.raises(error, match=message):
         pickle.loads(pickle.dumps(bad))
     with pytest.raises(error, match=message):
         copy.deepcopy(bad)
+    with pytest.raises(error, match=message):
+        copy.copy(bad)
 
 
 def test_records_are_named_tuples():
@@ -176,12 +201,3 @@ def test_verdict_and_report_replace():
     fewer = report._replace(verdicts={})
     assert fewer.all_ok and fewer.verdict_lines() == [] and fewer.ratio == report.ratio
     assert fewer != report and hash(fewer) == hash(report)
-
-
-def test_value_of_a_class_outside_the_profile_raises():
-    profile = validate_profile((1, 2))
-    assert (profile.value(1), profile.value(2)) == (1, 2)
-    for cls in (0, -1, 3):
-        with pytest.raises(IndexError) as exc:
-            profile.value(cls)
-        assert str(exc.value) == f"cls={cls} is outside [1, m] for m=2"
